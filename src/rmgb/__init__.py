@@ -1,34 +1,14 @@
-"""Binary Reed-Muller codes as radical powers of F2[X]/(X_i^2 - 1),
-with Groebner-basis machinery and remainder-syndrome decoding."""
+"""Binary Reed-Muller codes as radical powers of F2[X]/(X_i^2-1),
+with Groebner-basis machinery and remainder-syndrome decoding.
+Exports the API that the README and demos use, plus the decode statuses."""
 
-from .polyring import (
-    DEFAULT_ORDER,
-    EXPONENT_CAP,
-    GRLEX,
-    LEX,
-    MAX_VARS,
-    ORDERS,
-    Poly,
-    format_poly,
-    leading,
-    mono_cmp,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    monomial_key,
-    multideg,
-    parse_poly,
-)
-from .division import DivisionResult, divide, remainder
-from .gf2 import bit_matrix, rank, rref, same_row_space
+from .polyring import GRLEX, LEX, Poly, format_poly, mono_divides, parse_poly
+from .division import divide, remainder
+from .gf2 import bit_matrix, rank
 from .groebner import (
-    BasisReport,
     buchberger_complete,
     check_basis,
     ideal_member,
-    is_groebner,
-    is_reduced,
     reduce_basis,
     s_polynomial,
 )
@@ -36,19 +16,13 @@ from .rmcode import (
     CodeParams,
     Word,
     berman_check,
-    codewords,
     encode,
     groebner_basis,
     jennings_basis,
     message_monomials,
     min_weight_bruteforce,
-    monomial_positions,
-    monomial_subset,
     poly_to_word,
-    product_generator,
     random_message,
-    square_relations,
-    subset_monomial,
     word_to_poly,
 )
 from .decoder import (
@@ -56,14 +30,9 @@ from .decoder import (
     CORRECTED_LOW,
     CORRECTED_OMEGA,
     FAILURE,
-    DecodeResult,
-    HatSet,
-    MLResult,
-    Syndrome,
     decode,
     decode_m2,
     hat_set,
-    hat_symdiff,
     ml_decode_bruteforce,
     random_error,
     syndrome,

@@ -3,8 +3,12 @@
 The syndrome of a received word is the remainder of its polynomial on
 division by the degree-l product generators.  It vanishes exactly on
 codewords, and it only depends on the error: adding a codeword does not
-change it.  Writing the error as a sum of square-free monomials X_I
-(the error locations), the decoder exploits a weight dichotomy:
+change it.  ``syndrome`` computes it without division, by the XOR
+transforms of ``rmcode.remainder_bits`` on ``Word.value``; the tests pin
+it to the remainder of ``division.remainder`` for every m <= 7.
+
+Writing the error as a sum of square-free monomials X_I (the error
+locations), the decoder exploits a weight dichotomy:
 
 * if every location has |I| < l, the syndrome simply equals the error
   polynomial and has weight at most t;
@@ -25,15 +29,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .division import remainder
-from .polyring import GRLEX, Poly
+from .polyring import Poly
 from .rmcode import (
     CodeParams,
     Word,
     codewords,
-    groebner_basis,
     monomial_subset,
     poly_to_word,
+    remainder_bits,
+    subset_bit,
     subset_monomial,
     word_to_poly,
 )
@@ -46,24 +50,22 @@ FAILURE = "failure"
 
 @dataclass(frozen=True)
 class Syndrome:
-    remainder: Poly
+    word: Word  # the remainder's coefficient bits, in the word convention
+
+    @property
+    def remainder(self) -> Poly:
+        return word_to_poly(self.word)
 
     @property
     def weight(self) -> int:
-        return len(self.remainder.support)
+        return self.word.weight()
 
 
 def syndrome(v: Word, params: CodeParams) -> Syndrome:
     """Remainder of the received word's polynomial modulo the basis."""
     if v.n != params.n:
         raise ValueError(f"word length {v.n} does not match code length {params.n}")
-    return Syndrome(remainder(word_to_poly(v), groebner_basis(params), GRLEX))
-
-
-@lru_cache(maxsize=None)
-def _location_remainder(params: CodeParams, location: frozenset) -> Poly:
-    mono = subset_monomial(params.m, location)
-    return remainder(Poly.monomial(params.m, mono), groebner_basis(params), GRLEX)
+    return Syndrome(Word(v.n, remainder_bits(v.value, params)))
 
 
 @dataclass(frozen=True)
@@ -79,32 +81,8 @@ def hat_set(location, params: CodeParams) -> HatSet:
     {I}; for |I| = l it is the set of proper subsets of I.
     """
     location = frozenset(location)
-    rem = _location_remainder(params, location)
-    return HatSet(location, frozenset(monomial_subset(mono) for mono in rem.support))
-
-
-def hat_symdiff(locations, params: CodeParams) -> Poly:
-    """Remainder of a sum of location monomials, computed two ways.
-
-    Route one reduces the sum of the X_I by division; route two takes
-    the iterated symmetric difference of the individual hat sets.  By
-    linearity of remainders the routes must agree, and this function
-    asserts that they do before returning the result.
-    """
-    locations = [frozenset(loc) for loc in locations]
-    if len(set(locations)) != len(locations):
-        raise ValueError("locations must be distinct")
-    total = Poly(params.m, [subset_monomial(params.m, loc) for loc in locations])
-    by_division = remainder(total, groebner_basis(params), GRLEX) if total else Poly.zero(params.m)
-    acc: set = set()
-    for loc in locations:
-        acc ^= hat_set(loc, params).hat
-    by_hats = Poly(params.m, [subset_monomial(params.m, sub) for sub in acc])
-    if by_division != by_hats:
-        raise AssertionError(
-            f"hat symmetric difference mismatch: division gave {by_division}, hats gave {by_hats}"
-        )
-    return by_division
+    rem = Word(params.n, remainder_bits(1 << subset_bit(params.m, location), params))
+    return HatSet(location, frozenset(monomial_subset(mono) for mono in word_to_poly(rem).support))
 
 
 @dataclass(frozen=True)
@@ -115,13 +93,15 @@ class DecodeResult:
     chosen_locations: Optional[tuple] = None  # the accepted set S, omega path only
 
 
+@lru_cache(maxsize=None)
 def _candidate_locations(params: CodeParams):
-    # subsets with |I| >= l, in descending X_I order (degree first, then lex)
+    # (I, bit of X_I, remainder bits of X_I) for |I| >= l, in descending X_I order
     out = []
     for k in range(params.m, params.l - 1, -1):
         for combo in itertools.combinations(range(1, params.m + 1), k):
-            out.append(frozenset(combo))
-    return out
+            bit = 1 << subset_bit(params.m, combo)
+            out.append((frozenset(combo), bit, remainder_bits(bit, params)))
+    return tuple(out)
 
 
 def decode(v: Word, params: CodeParams) -> DecodeResult:
@@ -138,25 +118,27 @@ def decode(v: Word, params: CodeParams) -> DecodeResult:
     error are None.
     """
     syn = syndrome(v, params)
-    rem = syn.remainder
-    m = params.m
-    if not rem:
-        return DecodeResult(CLEAN, v, Poly.zero(m))
+    if not syn.weight:
+        return DecodeResult(CLEAN, v, Poly.zero(params.m))
     t = params.t
     if syn.weight <= t:
-        return DecodeResult(CORRECTED_LOW, v + poly_to_word(rem), rem)
+        return DecodeResult(CORRECTED_LOW, v + syn.word, syn.remainder)
+    rem = syn.word.value
     candidates = _candidate_locations(params)
     for size in range(1, t + 1):
         for chosen in itertools.combinations(candidates, size):
             shifted = rem
-            for loc in chosen:
-                shifted = shifted + _location_remainder(params, loc)
-            if len(shifted) > t - size:
+            for _, _, loc_rem in chosen:
+                shifted ^= loc_rem
+            if shifted.bit_count() > t - size:
                 continue
-            error = Poly(m, [subset_monomial(m, loc) for loc in chosen]) + shifted
-            cw = v + poly_to_word(error)
+            error = shifted
+            for _, bit, _ in chosen:
+                error ^= bit
+            cw = Word(v.n, v.value ^ error)
             if syndrome(cw, params).weight == 0:
-                return DecodeResult(CORRECTED_OMEGA, cw, error, tuple(chosen))
+                error_poly = word_to_poly(Word(v.n, error))
+                return DecodeResult(CORRECTED_OMEGA, cw, error_poly, tuple(c[0] for c in chosen))
     return DecodeResult(FAILURE, None, None)
 
 

@@ -17,6 +17,12 @@ identifies M^l with the Reed-Muller code RM(m - l, m) under the word
 correspondence above; ``berman_check`` verifies the identification by
 comparing row spaces.  The sets {g_I : |I| = l} and {X_i^2 - 1} play
 the role of Groebner bases for the decoder.
+
+In ``Word.value``, bit b is the coefficient of X_I for the I whose
+indicator is the m-bit binary expansion of b, X1 being its most
+significant bit; so the subsets of I are the submasks of b.  Encoding
+and reduction modulo G(m, l) are then XOR transforms over submasks and
+supermasks, each m masked shift-XORs on one Python int.
 """
 
 from __future__ import annotations
@@ -148,8 +154,9 @@ def monomial_positions(m: int):
 
 
 @lru_cache(maxsize=None)
-def _position_index(m: int) -> dict:
-    return {mono: i for i, mono in enumerate(monomial_positions(m))}
+def _monomial_bits(m: int) -> dict:
+    """Bit index in ``Word.value`` of each square-free exponent tuple."""
+    return {mono: (1 << m) - 1 - i for i, mono in enumerate(monomial_positions(m))}
 
 
 def subset_monomial(m: int, subset) -> tuple:
@@ -166,6 +173,58 @@ def monomial_subset(mono) -> frozenset:
     if any(e not in (0, 1) for e in mono):
         raise ValueError(f"monomial {mono} is not square-free")
     return frozenset(i + 1 for i, e in enumerate(mono) if e)
+
+
+def subset_bit(m: int, subset) -> int:
+    """Bit index b of X_I in ``Word.value``."""
+    return _monomial_bits(m)[subset_monomial(m, subset)]
+
+
+@lru_cache(maxsize=None)
+def _half_masks(m: int):
+    """(step, mask) per variable; mask holds the bits b < 2^m with b & step == 0."""
+    n = 1 << m
+    return tuple(
+        (step, int(("0" * step + "1" * step) * (n // (2 * step)), 2))
+        for step in (1 << i for i in range(m))
+    )
+
+
+def subset_xor(value: int, m: int) -> int:
+    """Bit b of the result is the XOR of the bits of value at submasks of b."""
+    for step, mask in _half_masks(m):
+        value ^= (value & mask) << step
+    return value
+
+
+def superset_xor(value: int, m: int) -> int:
+    """Bit b of the result is the XOR of the bits of value at supermasks of b."""
+    for step, mask in _half_masks(m):
+        value ^= (value >> step) & mask
+    return value
+
+
+@lru_cache(maxsize=None)
+def _low_degree_mask(m: int, l: int) -> int:
+    """The bits b < 2^m whose popcount is below l."""
+    if l <= 0:
+        return 0
+    if m == 0:
+        return 1
+    return _low_degree_mask(m - 1, l) | _low_degree_mask(m - 1, l - 1) << (1 << (m - 1))
+
+
+def remainder_bits(value: int, params: CodeParams) -> int:
+    """Coefficient bits of the remainder of a square-free element modulo G(m, l).
+
+    With y_i = X_i - 1, X_K is the sum of the y_J over J subset K, so the
+    element's coefficients in the y basis are ``superset_xor(value)``.
+    The y_J with |J| >= l span M^l and are dropped; mapping the rest back
+    by the same transform leaves a combination of the standard monomials
+    X_L, |L| < l, which is the unique remainder.
+    """
+    m = params.m
+    return superset_xor(superset_xor(value, m) & _low_degree_mask(m, params.l), m)
 
 
 def product_generator(m: int, subset) -> Poly:
@@ -220,20 +279,18 @@ def word_to_poly(w: Word) -> Poly:
     if (1 << m) != w.n:
         raise ValueError(f"word length {w.n} is not a power of two")
     positions = monomial_positions(m)
-    support = [positions[i] for i, b in enumerate(w.bits) if b]
-    return Poly(m, support)
+    return Poly(m, [positions[i] for i, b in enumerate(str(w)) if b == "1"])
 
 
 def poly_to_word(f: Poly) -> Word:
     """Inverse of word_to_poly; requires a square-free polynomial."""
-    if not f.is_squarefree():
-        raise ValueError("only square-free polynomials correspond to words")
-    index = _position_index(f.m)
+    bits = _monomial_bits(f.m)
     value = 0
-    n = 1 << f.m
     for mono in f.support:
-        value |= 1 << (n - 1 - index[mono])
-    return Word(n, value)
+        if mono not in bits:  # only square-free monomials have a position
+            raise ValueError("only square-free polynomials correspond to words")
+        value |= 1 << bits[mono]
+    return Word(1 << f.m, value)
 
 
 @lru_cache(maxsize=None)
@@ -258,7 +315,8 @@ def encode(message: Poly, params: CodeParams) -> Word:
     The message must be square-free of total degree at most nu.  The
     bit at the position carrying exponent tuple p is message(p) mod 2;
     a square-free monomial evaluates to 1 at p exactly when its support
-    is contained in the support of p.
+    is contained in the support of p, so the word is the subset-XOR
+    transform of the message's coefficient bits.
     """
     if message.m != params.m:
         raise ValueError(f"message has {message.m} variables, code expects {params.m}")
@@ -268,14 +326,7 @@ def encode(message: Poly, params: CodeParams) -> Word:
         raise ValueError(
             f"message degree {message.total_degree()} exceeds code order {params.nu}"
         )
-    value = 0
-    for point in monomial_positions(params.m):
-        bit = 0
-        for alpha in message.support:
-            if all(a <= p for a, p in zip(alpha, point)):
-                bit ^= 1
-        value = (value << 1) | bit
-    return Word(params.n, value)
+    return Word(params.n, subset_xor(poly_to_word(message).value, params.m))
 
 
 def _check_enumerable(params: CodeParams, what: str) -> None:

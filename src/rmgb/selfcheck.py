@@ -11,7 +11,7 @@ import itertools
 import random
 
 from . import gf2
-from .decoder import FAILURE, decode, decode_m2, ml_decode_bruteforce, syndrome
+from .decoder import FAILURE, decode, decode_m2, hat_set, ml_decode_bruteforce, syndrome
 from .polyring import Poly, parse_poly
 from .rmcode import (
     CodeParams,
@@ -122,21 +122,19 @@ def verify_location_weights(params: CodeParams) -> str:
 
     For |I| = l the remainder of X_I has weight exactly 2^l - 1.
     """
-    from .decoder import _location_remainder
-
     t = params.t
     checked = 0
     for k in range(params.l, params.m + 1):
         for combo in itertools.combinations(range(1, params.m + 1), k):
             loc = frozenset(combo)
-            rem = _location_remainder(params, loc)
-            if len(rem) <= t:
+            weight = len(hat_set(loc, params).hat)
+            if weight <= t:
                 raise AssertionError(
-                    f"remainder of X_{sorted(loc)} has weight {len(rem)} <= t = {t}"
+                    f"remainder of X_{sorted(loc)} has weight {weight} <= t = {t}"
                 )
-            if k == params.l and len(rem) != params.min_distance - 1:
+            if k == params.l and weight != params.min_distance - 1:
                 raise AssertionError(
-                    f"remainder of X_{sorted(loc)} has weight {len(rem)}, "
+                    f"remainder of X_{sorted(loc)} has weight {weight}, "
                     f"expected 2^l - 1 = {params.min_distance - 1}"
                 )
             checked += 1

@@ -11,19 +11,21 @@ from rmgb.decoder import (
     decode,
     decode_m2,
     hat_set,
-    hat_symdiff,
     ml_decode_bruteforce,
     random_error,
     syndrome,
 )
-from rmgb.polyring import Poly, parse_poly
+from rmgb.division import remainder
+from rmgb.polyring import GRLEX, Poly, parse_poly
 from rmgb.rmcode import (
     CodeParams,
     Word,
     codewords,
     encode,
+    groebner_basis,
     poly_to_word,
     random_message,
+    subset_monomial,
     word_to_poly,
 )
 
@@ -99,20 +101,38 @@ def test_hat_set_structure():
                     assert len(hs.hat) == params.min_distance - 1
 
 
+def hat_symdiff(locations, params):
+    """Remainder of a sum of location monomials, by division and by hat sets.
+
+    By linearity of remainders the symmetric difference of the hat sets
+    must be the support of the division remainder; returns both routes.
+    """
+    total = Poly(params.m, [subset_monomial(params.m, loc) for loc in locations])
+    by_division = remainder(total, groebner_basis(params), GRLEX)
+    acc = set()
+    for loc in locations:
+        acc ^= hat_set(loc, params).hat
+    by_hats = Poly(params.m, [subset_monomial(params.m, sub) for sub in acc])
+    return by_division, by_hats
+
+
 def test_hat_symdiff_examples():
-    assert hat_symdiff([{1}, {2}], P32) == parse_poly("x1 + x2", 3)
-    assert hat_symdiff([{1, 2}, {1, 3}], P32) == parse_poly("x2 + x3", 3)
-    assert hat_symdiff([{2, 3}], P32) == parse_poly("x2 + x3 + 1", 3)
+    for family, want in [
+        ([{1}, {2}], "x1 + x2"),
+        ([{1, 2}, {1, 3}], "x2 + x3"),
+        ([{2, 3}], "x2 + x3 + 1"),
+    ]:
+        assert hat_symdiff(family, P32) == (parse_poly(want, 3), parse_poly(want, 3))
 
 
-def test_hat_symdiff_rejects_duplicates():
-    with pytest.raises(ValueError):
-        hat_symdiff([{1, 2}, {1, 2}], P32)
+def test_hat_symdiff_duplicates_cancel():
+    # X_I + X_I = 0 over GF(2), and the two equal hat sets cancel as well
+    assert hat_symdiff([{1, 2}, {1, 2}], P32) == (Poly.zero(3), Poly.zero(3))
+    by_division, by_hats = hat_symdiff([{1, 2}, {1, 2}, {1, 3}], P32)
+    assert by_division == by_hats == parse_poly("x1 + x3 + 1", 3)
 
 
 def test_hat_symdiff_routes_agree_random():
-    # the function itself cross-checks division against hat-set symmetric
-    # difference and raises on any disagreement
     rng = random.Random(31)
     for params in (CodeParams(4, 2), CodeParams(4, 3)):
         all_subsets = [
@@ -122,7 +142,8 @@ def test_hat_symdiff_routes_agree_random():
         ]
         for _ in range(100):
             family = rng.sample(all_subsets, rng.randint(1, 5))
-            hat_symdiff(family, params)
+            by_division, by_hats = hat_symdiff(family, params)
+            assert by_division == by_hats
 
 
 def test_decode_golden():
