@@ -5,14 +5,16 @@ Syndrome decoding with Groebner remainders
 The syndrome of a received word is the remainder of its polynomial form
 modulo the Groebner basis of the code ideal.  Errors at "high" positions
 (square-free monomials X_I with |I| >= l) leave footprints described by
-hat sets, and a small search over candidate locations recovers them.
+hat sets, and the paper's search over candidate locations
+(``decode_search``) recovers them.  ``decode`` returns the same result
+in polynomial time.
 """
 
 from rmgb import (
     CodeParams,
     Word,
     decode,
-    decode_m2,
+    decode_search,
     format_poly,
     hat_set,
     ml_decode_bruteforce,
@@ -50,11 +52,11 @@ ml = ml_decode_bruteforce(v, params)
 assert ml.codeword == result.codeword and not ml.is_tie
 print("agrees with maximum-likelihood brute force at distance", ml.distance)
 
-# For l = 2 the syndrome exposes single error locations directly in its
-# degree-one part, giving a shortcut decoder.
-fast = decode_m2(v, params)
-assert fast == decode(v, params)
-print("degree-one shortcut decoder returns the same result")
+# decode reads a single error location for l = 2 straight off the
+# syndrome's degree-one part (and runs Reed's majority logic for l >= 3).
+# The paper's search over candidate location sets gives the same answer.
+assert decode_search(v, params) == result
+print("the remainder search over candidate locations returns the same result")
 
 # A word beyond the correction radius is reported, not guessed.
 hopeless = Word.from_string("11000000")

@@ -31,7 +31,7 @@ from .decoder import (
     CORRECTED_OMEGA,
     FAILURE,
     decode,
-    decode_m2,
+    decode_search,
     hat_set,
     ml_decode_bruteforce,
     random_error,

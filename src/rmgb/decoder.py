@@ -14,11 +14,23 @@ locations), the decoder exploits a weight dichotomy:
   polynomial and has weight at most t;
 * if some location has |I| >= l, the syndrome weight exceeds t.
 
-In the second case the decoder searches for the set S of high-degree
-locations: it tries candidate sets in a fixed deterministic order and
-accepts the first S whose shifted syndrome drops to weight at most
-t - |S|; the leftover monomials are the low-degree locations.  For
-errors of weight at most t the recovered codeword is exact.
+In the second case the paper's algorithm, ``decode_search``, searches
+for the set S of high-degree locations: it tries candidate sets in a
+fixed deterministic order and accepts the first S whose shifted
+syndrome drops to weight at most t - |S|; the leftover monomials are
+the low-degree locations.  It accepts exactly when a codeword lies
+within distance t, so it is bounded-distance decoding at radius t, but
+it may try every set of up to t of the candidates.
+
+``decode`` returns the same result in time polynomial in n, and
+``decode_search`` stays as the reference the tests compare it with.
+For l = 2 (t = 1) the one location is read off the syndrome: the
+degree-one part of its y-basis coefficients names the variables of X_I.
+For l >= 3 Reed's majority-logic decoder (Reed 1954; MacWilliams and
+Sloane, ch. 13) finds the nearest codeword on ``Word.value``, and the
+result is accepted when it lies within distance t.  For l <= 1, t = 0
+and every nonzero syndrome is a failure.  For errors of weight at most
+t the recovered codeword is exact.
 """
 
 from __future__ import annotations
@@ -33,12 +45,14 @@ from .polyring import Poly
 from .rmcode import (
     CodeParams,
     Word,
+    _half_masks,
     codewords,
     monomial_subset,
-    poly_to_word,
+    poly_to_word,  # unused here; kept bound because bench/tracer.py wraps it by name
     remainder_bits,
     subset_bit,
-    subset_monomial,
+    subset_xor,
+    superset_xor,
     word_to_poly,
 )
 
@@ -93,6 +107,111 @@ class DecodeResult:
     chosen_locations: Optional[tuple] = None  # the accepted set S, omega path only
 
 
+def decode(v: Word, params: CodeParams) -> DecodeResult:
+    """Correct up to t errors in the received word, in time polynomial in n.
+
+    Returns exactly what ``decode_search`` returns.  Clean words come
+    back unchanged, and a syndrome of weight at most t is the error
+    itself.  Past that, the one location read off the syndrome (l = 2)
+    or Reed's decoding (l >= 3) is accepted when it lies within
+    distance t.  Otherwise status is ``failure`` and codeword and error
+    are None.
+    """
+    syn = syndrome(v, params)
+    if not syn.weight:
+        return DecodeResult(CLEAN, v, Poly.zero(params.m))
+    t = params.t
+    if syn.weight <= t:
+        return DecodeResult(CORRECTED_LOW, v + syn.word, syn.remainder)
+    if params.l == 2:
+        error = _single_location(syn.word.value, params.m)
+    elif params.l >= 3:
+        error = _reed_error(v.value, params)
+    else:  # t = 0: every nonzero syndrome is beyond the radius
+        error = None
+    if error is None or error.bit_count() > t:
+        return DecodeResult(FAILURE, None, None)
+    return DecodeResult(
+        CORRECTED_OMEGA,
+        Word(v.n, v.value ^ error),
+        word_to_poly(Word(v.n, error)),
+        _high_locations(error, params),
+    )
+
+
+def _single_location(syndrome_bits: int, m: int) -> Optional[int]:
+    """Error bits of the one location with this syndrome for l = 2, else None.
+
+    Below degree two the y-basis coefficients of X_I are those of 1 and
+    of the y_i for i in I.  So ``superset_xor`` of the syndrome holds the
+    parity of the number of errors at bit 0 and, at the bit of each y_i,
+    the parity of the number of locations that contain i.  The syndrome
+    is that of one location X_I exactly when bit 0 is set, and then I is
+    the set of those i.
+    """
+    sigma = superset_xor(syndrome_bits, m)
+    if not sigma & 1:
+        return None
+    return 1 << sum(1 << i for i in range(m) if sigma >> (1 << i) & 1)
+
+
+def _reed_error(value: int, params: CodeParams) -> int:
+    """The word minus its decoding by Reed's majority logic for RM(nu, m).
+
+    Degree by degree from nu down, the coefficient of each X_J, |J| = d,
+    in the message of the residual word is the XOR of its bits over any
+    coset of the span of J's points.  The partial superset-XOR over J's
+    variables leaves the 2^(m-d) check sums of the disjoint cosets at
+    the bits q with q & J = 0, and each error spoils at most one of
+    them.  A majority of ones sets the coefficient, and the encoding of
+    the level's coefficients is removed from the residual.  Within
+    distance t of a codeword every majority is right, and what is left
+    is the error.
+    """
+    m = params.m
+    half_masks = _half_masks(m)
+    full = (1 << params.n) - 1
+    residual = value
+    for d in range(params.nu, 0, -1):
+        majority = 1 << (m - d - 1)  # half of the 2^(m-d) votes
+        coefficients = 0
+        # Depth first over J as increasing variable indices, so a prefix's
+        # partial transform is shared by every J that extends it.  Entries:
+        # (next index, variables still to add, transform, vote bits, bit index of X_J).
+        stack = [(0, d, residual, full, 0)]
+        while stack:
+            start, left, part, votes, j = stack.pop()
+            if left == 1:
+                for step, mask in half_masks[start:]:
+                    if ((part ^ (part >> step)) & votes & mask).bit_count() > majority:
+                        coefficients |= 1 << (j | step)
+                continue
+            for i in range(start, m - left + 1):
+                step, mask = half_masks[i]
+                stack.append((i + 1, left - 1, part ^ ((part >> step) & mask), votes & mask, j | step))
+        residual ^= subset_xor(coefficients, m)
+    if residual.bit_count() > 1 << (m - 1):  # the constant term
+        residual ^= full
+    return residual
+
+
+def _high_locations(error: int, params: CodeParams) -> tuple:
+    """The error's locations with |I| >= l, in ``_candidate_locations`` order.
+
+    That order is by size descending, then ``itertools.combinations``
+    order, which among sets of one size is descending order of the bit.
+    """
+    m = params.m
+    bits = []
+    while error:
+        b = error.bit_length() - 1
+        error ^= 1 << b
+        if b.bit_count() >= params.l:
+            bits.append(b)
+    bits.sort(key=lambda b: (b.bit_count(), b), reverse=True)
+    return tuple(frozenset(i for i in range(1, m + 1) if b >> (m - i) & 1) for b in bits)
+
+
 @lru_cache(maxsize=None)
 def _candidate_locations(params: CodeParams):
     # (I, bit of X_I, remainder bits of X_I) for |I| >= l, in descending X_I order
@@ -104,7 +223,7 @@ def _candidate_locations(params: CodeParams):
     return tuple(out)
 
 
-def decode(v: Word, params: CodeParams) -> DecodeResult:
+def decode_search(v: Word, params: CodeParams) -> DecodeResult:
     """Correct up to t errors in the received word.
 
     Clean words come back unchanged.  A syndrome of weight at most t is
@@ -140,36 +259,6 @@ def decode(v: Word, params: CodeParams) -> DecodeResult:
                 error_poly = word_to_poly(Word(v.n, error))
                 return DecodeResult(CORRECTED_OMEGA, cw, error_poly, tuple(c[0] for c in chosen))
     return DecodeResult(FAILURE, None, None)
-
-
-def decode_m2(v: Word, params: CodeParams) -> DecodeResult:
-    """Fast single-error decoder for l = 2.
-
-    For l = 2 the syndrome of a single error at X_I is the sum of the
-    X_i over i in I, plus possibly a constant term, so the location can
-    be read straight off the degree-one monomials.  The reconstructed
-    codeword is verified by a zero-syndrome check; on any mismatch
-    (for instance more than one error) this falls back to the general
-    decoder.
-    """
-    if params.l != 2:
-        raise ValueError(f"fast path requires l = 2, got l = {params.l}")
-    syn = syndrome(v, params)
-    rem = syn.remainder
-    m = params.m
-    if not rem:
-        return DecodeResult(CLEAN, v, Poly.zero(m))
-    if all(sum(mono) <= 1 for mono in rem.support):
-        location = frozenset(
-            i + 1 for mono in rem.support for i, e in enumerate(mono) if e
-        )
-        error = Poly.monomial(m, subset_monomial(m, location))
-        cw = v + poly_to_word(error)
-        if syndrome(cw, params).weight == 0:
-            if len(location) < params.l:
-                return DecodeResult(CORRECTED_LOW, cw, error)
-            return DecodeResult(CORRECTED_OMEGA, cw, error, (location,))
-    return decode(v, params)
 
 
 @dataclass(frozen=True)

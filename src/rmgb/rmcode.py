@@ -320,13 +320,12 @@ def encode(message: Poly, params: CodeParams) -> Word:
     """
     if message.m != params.m:
         raise ValueError(f"message has {message.m} variables, code expects {params.m}")
-    if not message.is_squarefree():
-        raise ValueError("message polynomial must be square-free")
-    if message.total_degree() > params.nu:
+    bits = poly_to_word(message).value  # raises unless square-free
+    if bits & ~_low_degree_mask(params.m, params.nu + 1):
         raise ValueError(
             f"message degree {message.total_degree()} exceeds code order {params.nu}"
         )
-    return Word(params.n, subset_xor(poly_to_word(message).value, params.m))
+    return Word(params.n, subset_xor(bits, params.m))
 
 
 def _check_enumerable(params: CodeParams, what: str) -> None:

@@ -11,7 +11,7 @@ import itertools
 import random
 
 from . import gf2
-from .decoder import FAILURE, decode, decode_m2, hat_set, ml_decode_bruteforce, syndrome
+from .decoder import FAILURE, decode, decode_search, hat_set, ml_decode_bruteforce, syndrome
 from .polyring import Poly, parse_poly
 from .rmcode import (
     CodeParams,
@@ -147,9 +147,9 @@ def verify_decode_agreement(params: CodeParams, codeword_sample: int = 32,
 
     For sampled codewords and every error pattern of weight <= t, the
     decoder must return exactly the transmitted codeword and the exact
-    error polynomial, the ML oracle must agree with no ties, and for
-    l = 2 the fast path must reproduce the general decoder on single
-    errors.
+    error polynomial, the ML oracle must agree with no ties, and the
+    paper's remainder search ``decode_search`` must return the same
+    result.
     """
     if params.t < 1:
         raise ValueError("sweep needs a code with t >= 1")
@@ -171,9 +171,9 @@ def verify_decode_agreement(params: CodeParams, codeword_sample: int = 32,
                 raise AssertionError(
                     f"ML oracle disagrees on c={c}, e={e} (m={params.m}, l={params.l})"
                 )
-            if params.l == 2 and e.weight() <= 1 and decode_m2(v, params) != res:
+            if decode_search(v, params) != res:
                 raise AssertionError(
-                    f"fast path disagrees on c={c}, e={e} (m={params.m})"
+                    f"remainder search disagrees on c={c}, e={e} (m={params.m}, l={params.l})"
                 )
     return f"{len(words)} codewords x {len(errors)} error patterns"
 

@@ -9,7 +9,7 @@ from rmgb.decoder import (
     CORRECTED_OMEGA,
     FAILURE,
     decode,
-    decode_m2,
+    decode_search,
     hat_set,
     ml_decode_bruteforce,
     random_error,
@@ -192,23 +192,22 @@ def test_decode_result_reconstructs_received():
             assert (result.status == CLEAN) == (not result.error)
 
 
-def test_decode_m2_requires_l2():
-    with pytest.raises(ValueError):
-        decode_m2(Word.zeros(16), CodeParams(4, 3))
-
-
-def test_decode_m2_matches_decode_on_single_errors():
-    for params in (P32, CodeParams(4, 2)):
+def test_decode_matches_search_on_single_errors_l2():
+    rng = random.Random(43)
+    for m in range(2, 7):
+        params = CodeParams(m, 2)
         zero = Word.zeros(params.n)
-        for position in range(1, params.n + 1):
-            v = zero.flip(position)
-            assert decode_m2(v, params) == decode(v, params)
-        assert decode_m2(zero, params).status == CLEAN
+        assert decode(zero, params) == decode_search(zero, params)
+        for c in (zero, encode(random_message(params, rng), params)):
+            for position in range(1, params.n + 1):
+                v = c.flip(position)
+                assert decode(v, params) == decode_search(v, params)
 
 
-def test_decode_m2_falls_back_on_heavier_errors():
+def test_decode_matches_search_on_double_error():
     v = Word.from_string("11000000")
-    assert decode_m2(v, P32) == decode(v, P32)
+    assert decode(v, P32) == decode_search(v, P32)
+    assert decode(v, P32).status == FAILURE
 
 
 def test_ml_bruteforce_golden():
