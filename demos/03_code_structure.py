@@ -11,7 +11,6 @@ power, and the minimum distance.
 from rmgb import (
     CodeParams,
     Poly,
-    bit_matrix,
     berman_check,
     encode,
     format_poly,
@@ -47,7 +46,7 @@ for l in range(0, params.m + 1):
 print("\nradical power matches the Reed-Muller span for all l (m = 3)")
 
 # The Jennings rows are independent: rank equals the code dimension.
-rows = bit_matrix([poly_to_word(g).bits for g in jennings_basis(params)])
+rows = [poly_to_word(g).value for g in jennings_basis(params)]
 print("rank of Jennings matrix:", rank(rows), "= dim", params.dim)
 
 # Minimum distance by brute force over all 2^k codewords.

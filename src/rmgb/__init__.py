@@ -4,7 +4,6 @@ Exports the API that the README and demos use, plus the decode statuses."""
 
 from .polyring import GRLEX, LEX, Poly, format_poly, mono_divides, parse_poly
 from .division import divide, remainder
-from .gf2 import bit_matrix, rank
 from .groebner import (
     buchberger_complete,
     check_basis,
@@ -23,6 +22,7 @@ from .rmcode import (
     min_weight_bruteforce,
     poly_to_word,
     random_message,
+    rank,
     word_to_poly,
 )
 from .decoder import (

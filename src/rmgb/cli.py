@@ -53,6 +53,15 @@ def _read_poly_file(path: str, m: int):
     return polys
 
 
+def _print_basis_report(report, order: str) -> int:
+    print(f"GROEBNER: {'yes' if report.is_groebner else 'no'}")
+    print(f"REDUCED: {'yes' if report.is_reduced else 'no'}")
+    if report.failing_pair is not None:
+        i, j, rem = report.failing_pair
+        print(f"failing pair: ({i + 1}, {j + 1}), S-remainder = {format_poly(rem, order)}")
+    return EXIT_OK if report.is_groebner else EXIT_CHECK_FAILED
+
+
 def cmd_basis(args) -> int:
     if args.which != "H" and args.l is None:
         raise ValueError(f"basis {args.which} requires -l")
@@ -65,10 +74,7 @@ def cmd_basis(args) -> int:
         elif args.which == "jennings":
             polys = jennings_basis(params)
         else:  # reduced-check
-            report = check_basis(groebner_basis(params), args.order)
-            print(f"GROEBNER: {'yes' if report.is_groebner else 'no'}")
-            print(f"REDUCED: {'yes' if report.is_reduced else 'no'}")
-            return EXIT_OK if report.is_groebner else EXIT_CHECK_FAILED
+            return _print_basis_report(check_basis(groebner_basis(params), args.order), args.order)
     for p in polys:
         print(format_poly(p, args.order))
     return EXIT_OK
@@ -111,13 +117,7 @@ def cmd_divide(args) -> int:
 
 def cmd_groebner_check(args) -> int:
     basis = _read_poly_file(args.basis_file, args.m)
-    report = check_basis(basis, args.order)
-    print(f"GROEBNER: {'yes' if report.is_groebner else 'no'}")
-    print(f"REDUCED: {'yes' if report.is_reduced else 'no'}")
-    if report.failing_pair is not None:
-        i, j, rem = report.failing_pair
-        print(f"failing pair: ({i + 1}, {j + 1}), S-remainder = {format_poly(rem, args.order)}")
-    return EXIT_OK if report.is_groebner else EXIT_CHECK_FAILED
+    return _print_basis_report(check_basis(basis, args.order), args.order)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,13 @@ def s_polynomial(f: Poly, g: Poly, order: str = DEFAULT_ORDER) -> Poly:
     return left + right
 
 
+def _nonzero_polys(basis) -> list:
+    polys = list(basis)
+    if not polys or any(not p for p in polys):
+        raise ValueError("basis must be a nonempty collection of nonzero polynomials")
+    return polys
+
+
 @dataclass(frozen=True)
 class BasisReport:
     is_groebner: bool
@@ -41,9 +48,7 @@ def check_basis(basis, order: str = DEFAULT_ORDER) -> BasisReport:
     zero remainder on division by the whole basis.  The first violation
     found (scanning pairs in index order) is reported.
     """
-    polys = list(basis)
-    if not polys or any(not p for p in polys):
-        raise ValueError("basis must be a nonempty collection of nonzero polynomials")
+    polys = _nonzero_polys(basis)
     failing = None
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
@@ -73,9 +78,7 @@ def is_reduced(basis, order: str = DEFAULT_ORDER) -> bool:
     This is the usual reducedness condition for monic bases; over GF(2)
     every nonzero polynomial is monic.
     """
-    polys = list(basis)
-    if not polys or any(not p for p in polys):
-        raise ValueError("basis must be a nonempty collection of nonzero polynomials")
+    polys = _nonzero_polys(basis)
     leads = [p.leading(order) for p in polys]
     for i, p in enumerate(polys):
         for j, lead in enumerate(leads):

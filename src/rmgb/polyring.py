@@ -43,19 +43,6 @@ def monomial_key(order: str):
     raise ValueError(f"unknown monomial order {order!r}, expected one of {ORDERS}")
 
 
-def mono_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
-def mono_cmp(a: Monomial, b: Monomial, order: str = DEFAULT_ORDER) -> int:
-    """Three-way comparison of monomials: -1, 0 or 1."""
-    if len(a) != len(b):
-        raise ValueError("cannot compare monomials in different variable counts")
-    key = monomial_key(order)
-    ka, kb = key(a), key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if len(a) != len(b):
         raise ValueError("cannot multiply monomials in different variable counts")
@@ -201,15 +188,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.m}, {format_poly(self)!r})"
-
-
-def multideg(f: Poly, order: str = DEFAULT_ORDER) -> Monomial:
-    """Multidegree of ``f``: the exponent tuple of its leading monomial."""
-    return f.leading(order)
-
-
-def leading(f: Poly, order: str = DEFAULT_ORDER) -> Monomial:
-    return f.leading(order)
 
 
 _FACTOR_RE = re.compile(r"[xXyY](\d+)(?:\^(\d+))?")

@@ -15,7 +15,7 @@ l-th power M^l is spanned by the products
 which expand over GF(2) to sum_{L subset I} X_L.  Berman's theorem
 identifies M^l with the Reed-Muller code RM(m - l, m) under the word
 correspondence above; ``berman_check`` verifies the identification by
-comparing row spaces.  The sets {g_I : |I| = l} and {X_i^2 - 1} play
+comparing GF(2) ranks.  The sets {g_I : |I| = l} and {X_i^2 - 1} play
 the role of Groebner bases for the decoder.
 
 In ``Word.value``, bit b is the coefficient of X_I for the I whose
@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from . import gf2
-from .polyring import GRLEX, MAX_VARS, Poly, monomial_key
+from .polyring import MAX_VARS, Poly
 
 ENUMERATION_LIMIT = 4  # largest m for which full codeword enumeration is allowed
 
@@ -276,10 +275,15 @@ def jennings_basis(params: CodeParams):
 def word_to_poly(w: Word) -> Poly:
     """Algebra element whose coefficients are the word's bits."""
     m = w.n.bit_length() - 1
-    if (1 << m) != w.n:
-        raise ValueError(f"word length {w.n} is not a power of two")
-    positions = monomial_positions(m)
-    return Poly(m, [positions[i] for i, b in enumerate(str(w)) if b == "1"])
+    if (1 << m) != w.n or not 1 <= m <= MAX_VARS:
+        raise ValueError(f"word length {w.n} is not 2^m for m in 1..{MAX_VARS}")
+    positions, last = monomial_positions(m), w.n - 1
+    support, value = [], w.value
+    while value:  # one step per set bit, highest first, so value shrinks
+        top = value.bit_length() - 1
+        support.append(positions[last - top])
+        value ^= 1 << top
+    return Poly._make(m, frozenset(support))
 
 
 def poly_to_word(f: Poly) -> Word:
@@ -298,15 +302,18 @@ def message_monomials(params: CodeParams):
     """Square-free monomials of degree at most nu, in descending grlex order.
 
     These index the rows of the canonical Reed-Muller generator matrix;
-    a message polynomial is any GF(2) combination of them.
+    a message polynomial is any GF(2) combination of them.  Degrees run
+    from nu down; within one degree, ``itertools.combinations`` order of
+    the variable indices is descending lex order.
     """
-    key = monomial_key(GRLEX)
-    monos = [
-        mono
-        for mono in monomial_positions(params.m)
-        if sum(mono) <= params.nu
-    ]
-    return tuple(sorted(monos, key=key, reverse=True))
+    m = params.m
+    positions, last = monomial_positions(m), (1 << m) - 1
+    variable_bits = [1 << (m - 1 - i) for i in range(m)]
+    return tuple(
+        positions[last - sum(combo)]
+        for k in range(params.nu, -1, -1)
+        for combo in itertools.combinations(variable_bits, k)
+    )
 
 
 def encode(message: Poly, params: CodeParams) -> Word:
@@ -345,11 +352,28 @@ def codewords(params: CodeParams):
         yield Word(params.n, acc)
 
 
+def rank(rows) -> int:
+    """GF(2) rank of rows held as ints, by elimination on the leading bit."""
+    pivots = {}  # leading bit -> the one kept row with that leading bit
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
 def berman_check(params: CodeParams) -> bool:
-    """Row-space equality of the radical-power basis and the RM generators."""
-    radical_rows = [poly_to_word(g).bits for g in jennings_basis(params)]
-    rm_rows = [encode(Poly.monomial(params.m, mono), params).bits for mono in message_monomials(params)]
-    return gf2.same_row_space(gf2.bit_matrix(radical_rows), gf2.bit_matrix(rm_rows))
+    """Row-space equality of the radical-power basis and the RM generators.
+
+    Two sets of rows span the same space exactly when each has the rank
+    of their union.
+    """
+    radical_rows = [poly_to_word(g).value for g in jennings_basis(params)]
+    rm_rows = [encode(Poly.monomial(params.m, mono), params).value for mono in message_monomials(params)]
+    return rank(radical_rows) == rank(rm_rows) == rank(radical_rows + rm_rows)
 
 
 def min_weight_bruteforce(params: CodeParams) -> int:
@@ -371,4 +395,5 @@ def random_message(params: CodeParams, rng) -> Poly:
     """Uniformly random message polynomial drawn from the given Random."""
     monos = message_monomials(params)
     mask = rng.getrandbits(len(monos))
-    return Poly(params.m, [mono for i, mono in enumerate(monos) if (mask >> i) & 1])
+    bits = format(mask, f"0{len(monos)}b")[::-1]  # bits[i] is bit i of mask
+    return Poly._make(params.m, frozenset(mono for mono, b in zip(monos, bits) if b == "1"))

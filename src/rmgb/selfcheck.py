@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 
-from . import gf2
 from .decoder import FAILURE, decode, decode_search, hat_set, ml_decode_bruteforce, syndrome
 from .polyring import Poly, parse_poly
 from .rmcode import (
@@ -23,6 +22,7 @@ from .rmcode import (
     min_weight_bruteforce,
     monomial_subset,
     poly_to_word,
+    rank,
     word_to_poly,
 )
 
@@ -76,8 +76,7 @@ def verify_berman(params: CodeParams) -> str:
     """Span equality of radical-power and Reed-Muller generators, plus rank."""
     if not berman_check(params):
         raise AssertionError(f"row spaces differ for m={params.m}, l={params.l}")
-    rows = gf2.bit_matrix([poly_to_word(g).bits for g in jennings_basis(params)])
-    rk = gf2.rank(rows)
+    rk = rank(poly_to_word(g).value for g in jennings_basis(params))
     if rk != params.dim:
         raise AssertionError(
             f"rank {rk} != dimension {params.dim} for m={params.m}, l={params.l}"

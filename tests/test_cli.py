@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import pytest
 
 from rmgb.cli import main
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def run(capsys, *argv):
@@ -230,3 +232,28 @@ def test_console_script_executable_help():
     proc = subprocess.run(["rmgb", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_runs_on_the_standard_library_alone():
+    # rmgb has no third-party runtime dependency: refuse every import outside
+    # the standard library, import each rmgb module (bar __main__, which runs
+    # the CLI on import) and run a selftest
+    script = (
+        "import pkgutil, sys\n"
+        "class StdlibOnly:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        top = name.partition('.')[0]\n"
+        "        if top != 'rmgb' and top not in sys.stdlib_module_names:\n"
+        "            raise ImportError(f'{name} is not in the standard library')\n"
+        "sys.meta_path.insert(0, StdlibOnly())\n"
+        "import rmgb, rmgb.cli\n"
+        "for mod in pkgutil.iter_modules(rmgb.__path__):\n"
+        "    if mod.name != '__main__':\n"
+        "        __import__('rmgb.' + mod.name)\n"
+        "sys.exit(rmgb.cli.main(['selftest', '3']))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "checks passed" in proc.stdout

@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from rmgb import gf2
 from rmgb.groebner import ideal_member
-from rmgb.polyring import GRLEX, Poly, parse_poly
+from rmgb.polyring import GRLEX, Poly, monomial_key, parse_poly
 from rmgb.rmcode import (
     CodeParams,
     Word,
@@ -21,6 +20,7 @@ from rmgb.rmcode import (
     poly_to_word,
     product_generator,
     random_message,
+    rank,
     square_relations,
     subset_monomial,
     word_to_poly,
@@ -149,6 +149,24 @@ def test_word_poly_correspondence_golden():
     assert poly_to_word(word_to_poly(v)) == v
 
 
+def word_to_poly_by_scan(w):
+    """Reference: read every character of the word's bit string."""
+    m = w.n.bit_length() - 1
+    positions = monomial_positions(m)
+    return Poly(m, [positions[i] for i, b in enumerate(str(w)) if b == "1"])
+
+
+def test_word_to_poly_matches_string_scan():
+    rng = random.Random(10)
+    for m in range(1, 11):
+        n = 1 << m
+        words = [Word(n, 0), Word(n, 1), Word(n, 1 << (n - 1)), Word(n, (1 << n) - 1)]
+        words += [Word(n, rng.getrandbits(n)) for _ in range(20)]
+        words += [Word(n, sum(1 << b for b in rng.sample(range(n), min(n, 3)))) for _ in range(20)]
+        for w in words:
+            assert word_to_poly(w) == word_to_poly_by_scan(w), (m, str(w))
+
+
 def test_word_poly_roundtrip_random():
     rng = random.Random(21)
     for m in range(1, 5):
@@ -215,18 +233,36 @@ def test_message_monomials():
     assert len(message_monomials(CodeParams(4, 2))) == 11
 
 
+def test_message_monomials_match_grlex_sort():
+    key = monomial_key(GRLEX)
+    for m in range(1, 9):
+        for l in range(0, m + 1):
+            params = CodeParams(m, l)
+            low = [mono for mono in monomial_positions(m) if sum(mono) <= params.nu]
+            assert message_monomials(params) == tuple(sorted(low, key=key, reverse=True)), (m, l)
+
+
 def test_berman_small():
-    for m in range(1, 5):
+    for m in range(1, 8):
         for l in range(0, m + 1):
             assert berman_check(CodeParams(m, l))
+
+
+def test_berman_check_rejects_other_span(monkeypatch):
+    # three independent weight-1 words: the rank of RM(1, 2), another span
+    unit_rows = tuple(Poly.monomial(2, mono) for mono in monomial_positions(2)[:3])
+    monkeypatch.setattr("rmgb.rmcode.jennings_basis", lambda params: unit_rows)
+    params = CodeParams(2, 1)
+    assert rank([poly_to_word(g).value for g in unit_rows]) == params.dim
+    assert not berman_check(params)
 
 
 def test_jennings_rank_matches_dim():
     for m in range(1, 6):
         for l in range(0, m + 1):
             params = CodeParams(m, l)
-            rows = gf2.bit_matrix([poly_to_word(g).bits for g in jennings_basis(params)])
-            assert gf2.rank(rows) == params.dim
+            rows = [poly_to_word(g).value for g in jennings_basis(params)]
+            assert rank(rows) == params.dim
 
 
 def test_min_weight_small():
@@ -243,13 +279,36 @@ def test_random_message_deterministic():
     b = random_message(params, random.Random(5))
     assert a == b
     assert a.is_squarefree() and a.total_degree() <= params.nu
+    # the seeded stream: bit i of one getrandbits draw selects monomial i
+    for m in range(1, 9):
+        for l in range(0, m + 1):
+            params = CodeParams(m, l)
+            monos = message_monomials(params)
+            mask = random.Random(m * 10 + l).getrandbits(len(monos))
+            want = Poly(m, [mono for i, mono in enumerate(monos) if (mask >> i) & 1])
+            assert random_message(params, random.Random(m * 10 + l)) == want, (m, l)
 
 
 def test_gf2_helpers():
-    a = gf2.bit_matrix([[1, 1, 0], [0, 1, 1]])
-    b = gf2.bit_matrix([[1, 0, 1], [0, 1, 1]])
-    assert gf2.rank(a) == 2
-    assert gf2.same_row_space(a, b)
-    c = gf2.bit_matrix([[1, 0, 0], [0, 1, 1]])
-    assert not gf2.same_row_space(a, c)
-    assert gf2.rank(gf2.bit_matrix([[0, 0], [0, 0]])) == 0
+    # rows written as bit strings; equal spans have the rank of their union
+    a = [0b110, 0b011]
+    b = [0b101, 0b011]
+    assert rank(a) == 2
+    assert rank(a) == rank(b) == rank(a + b)
+    c = [0b100, 0b011]
+    assert rank(a) == rank(c) == 2 and rank(a + c) == 3
+    assert rank([0b00, 0b00]) == 0
+    assert rank([]) == 0
+
+
+def test_rank_matches_enumerated_span():
+    rng = random.Random(4)
+    for _ in range(300):
+        width = rng.randint(1, 10)
+        rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 8))]
+        if rows and rng.random() < 0.3:
+            rows.append(rows[0] ^ rows[-1])  # force a dependency
+        span = {0}
+        for row in rows:
+            span |= {x ^ row for x in span}
+        assert len(span) == 1 << rank(rows), rows
