@@ -14,20 +14,22 @@ matches, that monomial moves to the remainder.
 
 The remainder generally depends on the divisor order unless the
 divisors form a Groebner basis.
+
+``divide`` packs ``f`` and the divisors into ints (see
+``polyring.MonomialPacking``), runs ``packed_remainder`` and unpacks the
+quotients and remainder.  ``packed_remainder`` keeps the working
+polynomial as a set of packed monomials and takes each leading monomial
+from a max-heap with lazy deletion: every monomial that enters the set
+is pushed, a popped one that has since cancelled out of the set is
+skipped, and so the first popped one still in the set is its largest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
-from .polyring import (
-    DEFAULT_ORDER,
-    Poly,
-    mono_div,
-    mono_divides,
-    mono_mul,
-    monomial_key,
-)
+from .polyring import DEFAULT_ORDER, MonomialPacking, Poly
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,49 @@ class DivisionResult:
         return acc
 
 
+def packed_remainder(work: set, divisors, packing: MonomialPacking, quotients=None) -> list:
+    """Remainder of packed ``work`` on division by packed ``divisors``.
+
+    ``work`` is a set of packed monomials and is used up.  ``divisors``
+    is a sequence of ``packing.split`` pairs ``(lead, tail)``, scanned in
+    order for the first lead that divides.  When ``quotients`` is given,
+    the quotient monomials for divisor ``i`` are appended to
+    ``quotients[i]``.  Returns the remainder's monomials in descending
+    order.
+    """
+    guard, room = packing.guard, packing.room
+    leads = [lead for lead, _ in divisors]
+    heap = [-p for p in work]
+    heapify(heap)
+    rem = []
+    while heap:
+        lead = -heappop(heap)
+        if lead not in work:
+            continue
+        work.remove(lead)
+        bound = lead | guard
+        for i, dlead in enumerate(leads):
+            if (bound - dlead) & guard == guard:
+                q = lead - dlead
+                if quotients is not None:
+                    quotients[i].append(q)
+                # subtract q * divisor: q * dlead cancels `lead`, and in GF(2)
+                # each tail product toggles its monomial in `work`
+                for t in divisors[i][1]:
+                    p = q + t
+                    if (p + room) & guard:
+                        raise packing.overflow(p)
+                    if p in work:
+                        work.remove(p)
+                    else:
+                        work.add(p)
+                        heappush(heap, -p)
+                break
+        else:
+            rem.append(lead)
+    return rem
+
+
 def divide(f: Poly, divisors, order: str = DEFAULT_ORDER) -> DivisionResult:
     """Divide ``f`` by an ordered sequence of nonzero divisors."""
     divisors = list(divisors)
@@ -53,28 +98,14 @@ def divide(f: Poly, divisors, order: str = DEFAULT_ORDER) -> DivisionResult:
             raise ValueError("divisors must be Poly in the same variables as f")
         if not d:
             raise ValueError("cannot divide by the zero polynomial")
-    key = monomial_key(order)
-    leads = [d.leading(order) for d in divisors]
-
-    work = set(f.support)
-    quotients = [set() for _ in divisors]
-    rem: set = set()
-    while work:
-        lead = max(work, key=key)
-        for i, dlead in enumerate(leads):
-            if mono_divides(dlead, lead):
-                q = mono_div(lead, dlead)
-                quotients[i] ^= {q}
-                # subtract q * divisor; in GF(2) that is a symmetric difference,
-                # and it cancels `lead` itself since q * dlead == lead
-                work ^= {mono_mul(q, mono) for mono in divisors[i].support}
-                break
-        else:
-            rem.add(lead)
-            work.remove(lead)
+    packing = MonomialPacking(f.m, order)
+    quotients = [[] for _ in divisors]
+    rem = packed_remainder(
+        set(map(packing.pack, f.support)), [packing.split(d) for d in divisors], packing, quotients
+    )
     return DivisionResult(
-        quotients=tuple(Poly._make(f.m, frozenset(q)) for q in quotients),
-        remainder=Poly._make(f.m, frozenset(rem)),
+        quotients=tuple(map(packing.poly, quotients)),
+        remainder=packing.poly(rem),
     )
 
 

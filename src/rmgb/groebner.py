@@ -1,13 +1,23 @@
-"""S-polynomials, the Buchberger criterion, completion, and reduced bases."""
+"""S-polynomials, the Buchberger criterion, completion, and reduced bases.
+
+Each public function packs its polynomials into ints once when it
+starts (``polyring.MonomialPacking``: one int per monomial, ordered as
+the monomial order), keeps each basis element as a packed
+``(lead, tail)`` pair, reduces with ``division.packed_remainder`` and
+unpacks only the polynomials it returns.  Buchberger completion keeps
+its packed basis for the whole run, so it calls neither
+``s_polynomial`` nor ``division.divide`` per pair.
+"""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
-from .division import remainder
-from .polyring import DEFAULT_ORDER, Poly, mono_div, mono_divides, mono_lcm, monomial_key
+from .division import packed_remainder, remainder
+from .polyring import DEFAULT_ORDER, MonomialPacking, Poly
 
 
 def s_polynomial(f: Poly, g: Poly, order: str = DEFAULT_ORDER) -> Poly:
@@ -19,12 +29,38 @@ def s_polynomial(f: Poly, g: Poly, order: str = DEFAULT_ORDER) -> Poly:
     """
     if not f or not g:
         raise ValueError("s_polynomial requires nonzero polynomials")
-    lf = f.leading(order)
-    lg = g.leading(order)
-    lcm = mono_lcm(lf, lg)
-    left = Poly.monomial(f.m, mono_div(lcm, lf)) * f
-    right = Poly.monomial(g.m, mono_div(lcm, lg)) * g
-    return left + right
+    packing, (a, b) = _pack([f, g], order)
+    return packing.poly(_packed_s(a, b, packing))
+
+
+def _packed_s(a, b, packing: MonomialPacking) -> set:
+    """Packed S-polynomial of two ``(lead, tail)`` pairs.
+
+    The two leads cancel, so only the tails are multiplied; ``a``'s
+    products are checked against the cap before ``b``'s.
+    """
+    guard, room = packing.guard, packing.room
+    lcm = packing.lcm(a[0], b[0])
+    s = set()
+    for lead, tail in (a, b):
+        cofactor = lcm - lead
+        for t in tail:
+            p = cofactor + t
+            if (p + room) & guard:
+                raise packing.overflow(p)
+            if p in s:
+                s.remove(p)
+            else:
+                s.add(p)
+    return s
+
+
+def _pack(polys, order: str):
+    """A packing for ``polys`` and each one's ``(lead, tail)`` pair."""
+    for p in polys:
+        polys[0]._check_compatible(p)
+    packing = MonomialPacking(polys[0].m, order)
+    return packing, [packing.split(p) for p in polys]
 
 
 def _nonzero_polys(basis) -> list:
@@ -49,18 +85,15 @@ def check_basis(basis, order: str = DEFAULT_ORDER) -> BasisReport:
     found (scanning pairs in index order) is reported.
     """
     polys = _nonzero_polys(basis)
+    packing, packed = _pack(polys, order)
     failing = None
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            s = s_polynomial(polys[i], polys[j], order)
-            if not s:
-                continue
-            r = remainder(s, polys, order)
+    for i, j in combinations(range(len(packed)), 2):
+        s = _packed_s(packed[i], packed[j], packing)
+        if s:
+            r = packed_remainder(s, packed, packing)
             if r:
-                failing = (i, j, r)
+                failing = (i, j, packing.poly(r))
                 break
-        if failing:
-            break
     return BasisReport(
         is_groebner=failing is None,
         is_reduced=is_reduced(polys, order),
@@ -78,13 +111,10 @@ def is_reduced(basis, order: str = DEFAULT_ORDER) -> bool:
     This is the usual reducedness condition for monic bases; over GF(2)
     every nonzero polynomial is monic.
     """
-    polys = _nonzero_polys(basis)
-    leads = [p.leading(order) for p in polys]
-    for i, p in enumerate(polys):
-        for j, lead in enumerate(leads):
-            if i == j:
-                continue
-            if any(mono_divides(lead, mono) for mono in p.support):
+    packing, packed = _pack(_nonzero_polys(basis), order)
+    for i, (lead, tail) in enumerate(packed):
+        for j, (other, _) in enumerate(packed):
+            if i != j and any(packing.divides(other, mono) for mono in (lead, *tail)):
                 return False
     return True
 
@@ -110,17 +140,19 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER, max_additions: i
             basis.append(g)
     if not basis:
         raise ValueError("need at least one nonzero generator")
-    pairs = deque((i, j) for i in range(len(basis)) for j in range(i + 1, len(basis)))
+    packing, packed = _pack(basis, order)
+    pairs = deque(combinations(range(len(basis)), 2))
     additions = 0
     while pairs:
         i, j = pairs.popleft()
-        s = s_polynomial(basis[i], basis[j], order)
+        s = _packed_s(packed[i], packed[j], packing)
         if not s:
             continue
-        r = remainder(s, basis, order)
+        r = packed_remainder(s, packed, packing)
         if not r:
             continue
-        basis.append(r)
+        basis.append(packing.poly(r))
+        packed.append((r[0], r[1:]))
         additions += 1
         if additions > max_additions:
             raise RuntimeError(f"Buchberger completion exceeded {max_additions} additions")
@@ -137,32 +169,34 @@ def reduce_basis(basis, order: str = DEFAULT_ORDER):
     division by the others until nothing changes.  Output is sorted by
     descending leading monomial.
     """
-    key = monomial_key(order)
     polys = []
     for p in basis:
         if p and p not in polys:
             polys.append(p)
     if not polys:
         raise ValueError("cannot reduce an empty basis")
+    packing, packed = _pack(polys, order)
 
     # minimalize: scan by ascending leading monomial so survivors are kept
-    polys.sort(key=lambda p: key(p.leading(order)))
+    packed.sort(key=lambda pair: pair[0])
     minimal = []
-    for p in polys:
-        lead = p.leading(order)
-        if not any(mono_divides(q.leading(order), lead) for q in minimal):
-            minimal.append(p)
+    for lead, tail in packed:
+        if not any(packing.divides(other, lead) for other, _ in minimal):
+            minimal.append((lead, tail))
 
     # interreduce tails to a fixpoint; leading monomials are now pairwise
     # non-divisible so remainders stay nonzero and keep their leads
     changed = True
     while changed:
         changed = False
-        for i, p in enumerate(minimal):
+        for i, (lead, tail) in enumerate(minimal):
             others = minimal[:i] + minimal[i + 1:]
-            r = remainder(p, others, order) if others else p
-            if r != p:
-                minimal[i] = r
+            if not others:
+                continue
+            terms = {lead, *tail}
+            r = packed_remainder(set(terms), others, packing)
+            if set(r) != terms:
+                minimal[i] = (r[0], r[1:])
                 changed = True
-    minimal.sort(key=lambda p: key(p.leading(order)), reverse=True)
-    return tuple(minimal)
+    minimal.sort(key=lambda pair: pair[0], reverse=True)
+    return tuple(packing.poly((lead, *tail)) for lead, tail in minimal)

@@ -16,6 +16,26 @@ Exponents are capped at ``EXPONENT_CAP``.  The intended ambient rings
 here are quotients by ``x_i^2 - 1``, so exponents above 2 only occur
 transiently (for instance inside a product before reduction), and the
 cap guards against runaway inputs rather than limiting real use.
+
+The Groebner toolkit (division, S-polynomials, Buchberger completion
+and basis checks) packs each monomial into one int with a
+``MonomialPacking`` when a call starts and unpacks its results when it
+returns.  Each variable gets a field of ``FIELD_BITS`` =
+``EXPONENT_CAP.bit_length() + 1`` bits (4 for a cap of 4), with ``x1``
+in the highest field; under grlex the total degree sits above the
+fields, and under lex there is no degree field.  An exponent is at most
+the cap, so it leaves the top bit of its field, the guard bit, clear,
+and a product of two monomials, up to twice the cap per variable, still
+fits its field.  With that invariant:
+
+* int comparison is the monomial order;
+* a product is an int addition and a quotient a subtraction;
+* ``a`` divides ``b`` exactly when ``((b | G) - a) & G == G``, where
+  ``G`` has every guard bit set: no field borrows from its neighbour,
+  and a field keeps its guard bit exactly when ``b_i >= a_i``;
+* a product exceeds the cap exactly when adding
+  ``2^(FIELD_BITS - 1) - 1 - EXPONENT_CAP`` to each field sets a guard
+  bit.
 """
 
 from __future__ import annotations
@@ -32,6 +52,7 @@ DEFAULT_ORDER = GRLEX
 
 EXPONENT_CAP = 4
 MAX_VARS = 16
+FIELD_BITS = EXPONENT_CAP.bit_length() + 1  # packed field width; see the module docstring
 
 
 def monomial_key(order: str):
@@ -57,19 +78,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     if len(a) != len(b):
         raise ValueError("cannot compare monomials in different variable counts")
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(b: Monomial, a: Monomial) -> Monomial:
-    """Quotient ``b / a``.  Raises ValueError when ``a`` does not divide ``b``."""
-    if not mono_divides(a, b):
-        raise ValueError(f"monomial {a} does not divide {b}")
-    return tuple(y - x for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    if len(a) != len(b):
-        raise ValueError("cannot compare monomials in different variable counts")
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 class Poly:
@@ -188,6 +196,70 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.m}, {format_poly(self)!r})"
+
+
+class MonomialPacking:
+    """Monomials of ``m`` variables packed into ints whose order is ``order``.
+
+    The layout and the guard-bit invariant are in the module docstring;
+    they hold only for monomials whose exponents are at most
+    ``EXPONENT_CAP``.  Hot loops read ``guard`` (every guard bit) and
+    ``room`` (the per-field headroom below the guard bit that is left
+    over the cap) and test divisibility and overflow inline.
+    """
+
+    __slots__ = ("m", "grlex", "guard", "room", "_fields", "_planes", "_shifts")
+
+    def __init__(self, m: int, order: str):
+        if order not in ORDERS:
+            raise ValueError(f"unknown monomial order {order!r}, expected one of {ORDERS}")
+        ones = sum(1 << FIELD_BITS * k for k in range(m))  # lowest bit of every field
+        self.m = m
+        self.grlex = order == GRLEX
+        self.guard = ones << (FIELD_BITS - 1)
+        self.room = ones * ((1 << (FIELD_BITS - 1)) - 1 - EXPONENT_CAP)
+        self._fields = ones * ((1 << FIELD_BITS) - 1)
+        self._planes = [ones << k for k in range(FIELD_BITS - 1)]
+        self._shifts = [FIELD_BITS * k for k in reversed(range(m))]
+
+    def pack(self, mono: Monomial) -> int:
+        p = sum(mono) if self.grlex else 0
+        for e in mono:
+            p = p << FIELD_BITS | e
+        return p
+
+    def unpack(self, p: int) -> Monomial:
+        mask = (1 << FIELD_BITS) - 1
+        return tuple(p >> shift & mask for shift in self._shifts)
+
+    def split(self, f: Poly):
+        """``(lead, tail)`` of a nonzero ``f``: its packed leading monomial,
+        and its other monomials packed, in the order ``f.support`` yields them."""
+        tail = [self.pack(mono) for mono in f.support]
+        lead = max(tail)
+        tail.remove(lead)
+        return lead, tail
+
+    def poly(self, packed) -> Poly:
+        return Poly._make(self.m, frozenset(map(self.unpack, packed)))
+
+    def divides(self, a: int, b: int) -> bool:
+        guard = self.guard
+        return ((b | guard) - a) & guard == guard
+
+    def lcm(self, a: int, b: int) -> int:
+        guard = self.guard
+        a_wins = (((a | guard) - b) & guard) >> (FIELD_BITS - 1)  # a_i >= b_i, one bit per field
+        take_a = a_wins * ((1 << FIELD_BITS) - 1)
+        fields = (a & take_a | b & ~take_a) & self._fields
+        if self.grlex:
+            degree = sum((fields & plane).bit_count() << k for k, plane in enumerate(self._planes))
+            fields |= degree << FIELD_BITS * self.m
+        return fields
+
+    def overflow(self, p: int) -> ValueError:
+        """The error for a packed product ``p`` with an exponent above the cap."""
+        return ValueError(f"exponent overflow: product {self.unpack(p)} exceeds cap {EXPONENT_CAP}")
 
 
 _FACTOR_RE = re.compile(r"[xXyY](\d+)(?:\^(\d+))?")

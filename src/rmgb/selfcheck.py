@@ -1,6 +1,6 @@
 """Verification sweeps shared by the CLI selftest and the test suite.
 
-Each ``verify_*`` function raises AssertionError with a description on
+Each ``verify_*`` function raises ``CheckFailed`` with a description on
 the first violation and returns a short summary string on success.
 ``run_selftest`` packages them into (name, ok, detail) rows.
 """
@@ -27,6 +27,10 @@ from .rmcode import (
 )
 
 DEFAULT_SWEEP_SEED = 20240814
+
+
+class CheckFailed(Exception):
+    """A verification sweep found a violation; the message describes it."""
 
 
 def error_words(n: int, max_weight: int):
@@ -63,22 +67,22 @@ def verify_golden_example() -> str:
     syn = syndrome(received, params)
     expected_syndrome = parse_poly("x2 + x3 + 1", 3)
     if syn.remainder != expected_syndrome:
-        raise AssertionError(f"golden syndrome mismatch: got {syn.remainder}")
+        raise CheckFailed(f"golden syndrome mismatch: got {syn.remainder}")
     result = decode(received, params)
     if str(result.codeword) != "10101010":
-        raise AssertionError(f"golden codeword mismatch: got {result.codeword}")
+        raise CheckFailed(f"golden codeword mismatch: got {result.codeword}")
     if result.error != parse_poly("x2*x3", 3):
-        raise AssertionError(f"golden error mismatch: got {result.error}")
+        raise CheckFailed(f"golden error mismatch: got {result.error}")
     return "decode(10100010) -> 10101010, error x2*x3"
 
 
 def verify_berman(params: CodeParams) -> str:
     """Span equality of radical-power and Reed-Muller generators, plus rank."""
     if not berman_check(params):
-        raise AssertionError(f"row spaces differ for m={params.m}, l={params.l}")
+        raise CheckFailed(f"row spaces differ for m={params.m}, l={params.l}")
     rk = rank(poly_to_word(g).value for g in jennings_basis(params))
     if rk != params.dim:
-        raise AssertionError(
+        raise CheckFailed(
             f"rank {rk} != dimension {params.dim} for m={params.m}, l={params.l}"
         )
     return f"span equal, rank {rk}"
@@ -87,7 +91,7 @@ def verify_berman(params: CodeParams) -> str:
 def verify_min_weight(params: CodeParams) -> str:
     got = min_weight_bruteforce(params)
     if got != params.min_distance:
-        raise AssertionError(
+        raise CheckFailed(
             f"minimum weight {got} != 2^l = {params.min_distance} for m={params.m}, l={params.l}"
         )
     return f"minimum weight {got} over {1 << params.dim} codewords"
@@ -108,7 +112,7 @@ def verify_dichotomy(params: CodeParams) -> str:
         all_low = all(len(loc) < params.l for loc in locations)
         weight = syndrome(e, params).weight
         if (weight <= t) != all_low:
-            raise AssertionError(
+            raise CheckFailed(
                 f"dichotomy violated for error {e} (m={params.m}, l={params.l}): "
                 f"syndrome weight {weight}, locations {sorted(map(sorted, locations))}"
             )
@@ -128,11 +132,11 @@ def verify_location_weights(params: CodeParams) -> str:
             loc = frozenset(combo)
             weight = len(hat_set(loc, params).hat)
             if weight <= t:
-                raise AssertionError(
+                raise CheckFailed(
                     f"remainder of X_{sorted(loc)} has weight {weight} <= t = {t}"
                 )
             if k == params.l and weight != params.min_distance - 1:
-                raise AssertionError(
+                raise CheckFailed(
                     f"remainder of X_{sorted(loc)} has weight {weight}, "
                     f"expected 2^l - 1 = {params.min_distance - 1}"
                 )
@@ -159,19 +163,19 @@ def verify_decode_agreement(params: CodeParams, codeword_sample: int = 32,
             v = c + e
             res = decode(v, params)
             if res.status == FAILURE:
-                raise AssertionError(f"decode failed on c={c}, e={e} (m={params.m}, l={params.l})")
+                raise CheckFailed(f"decode failed on c={c}, e={e} (m={params.m}, l={params.l})")
             if res.codeword != c or res.error != word_to_poly(e):
-                raise AssertionError(
+                raise CheckFailed(
                     f"decode mismatch on c={c}, e={e} (m={params.m}, l={params.l}): "
                     f"got codeword {res.codeword}, error {res.error}"
                 )
             ml = ml_decode_bruteforce(v, params)
             if ml.is_tie or ml.codeword != c:
-                raise AssertionError(
+                raise CheckFailed(
                     f"ML oracle disagrees on c={c}, e={e} (m={params.m}, l={params.l})"
                 )
             if decode_search(v, params) != res:
-                raise AssertionError(
+                raise CheckFailed(
                     f"remainder search disagrees on c={c}, e={e} (m={params.m}, l={params.l})"
                 )
     return f"{len(words)} codewords x {len(errors)} error patterns"
@@ -204,6 +208,6 @@ def run_selftest(max_m: int):
         try:
             detail = fn(*args)
             results.append((name, True, detail))
-        except AssertionError as exc:
+        except CheckFailed as exc:
             results.append((name, False, str(exc)))
     return results

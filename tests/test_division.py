@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -117,3 +118,11 @@ def test_division_result_is_frozen():
     assert isinstance(result, DivisionResult)
     with pytest.raises(AttributeError):
         result.remainder = Poly.zero(2)
+
+
+def test_product_above_exponent_cap_raises():
+    # the lead x1*x2^3 divides x1^4*x2^4 with quotient x1^3*x2, and
+    # x1^3*x2 * x2^4 would need exponent 5
+    f = parse_poly("x1^4*x2^4", 2)
+    with pytest.raises(ValueError, match=re.escape("product (3, 5) exceeds cap 4")):
+        divide(f, [parse_poly("x1*x2^3 + x2^4", 2)])

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -136,3 +137,10 @@ def test_completion_divergence_guard():
             GRLEX,
             max_additions=0,
         )
+
+
+def test_completion_product_above_exponent_cap_raises():
+    # the S-polynomial multiplies x1^4 + x2 by x2^4, which needs x2^5
+    gens = [parse_poly("x1^4 + x2", 2), parse_poly("x2^4 + x1", 2)]
+    with pytest.raises(ValueError, match=re.escape("product (0, 5) exceeds cap 4")):
+        buchberger_complete(gens)

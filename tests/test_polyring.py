@@ -6,15 +6,16 @@ from rmgb.polyring import (
     EXPONENT_CAP,
     GRLEX,
     LEX,
+    ORDERS,
+    MonomialPacking,
     Poly,
     format_poly,
-    mono_div,
     mono_divides,
-    mono_lcm,
     mono_mul,
     monomial_key,
     parse_poly,
 )
+from tuple_toolkit import mono_div, mono_lcm
 
 
 def mono_cmp(a, b, order=GRLEX):
@@ -194,3 +195,24 @@ def test_variable_and_monomial_constructors():
     with pytest.raises(ValueError):
         Poly.variable(3, 4)
     assert Poly.monomial(2, (1, 1)) == parse_poly("x1*x2", 2)
+
+
+def test_packing_agrees_with_exponent_tuples():
+    rng = random.Random(31)
+    for order in ORDERS:
+        key = monomial_key(order)
+        for m in (1, 2, 5, 16):
+            packing = MonomialPacking(m, order)
+            for _ in range(200):
+                a, b = (tuple(rng.randint(0, EXPONENT_CAP) for _ in range(m)) for _ in range(2))
+                pa, pb = packing.pack(a), packing.pack(b)
+                assert packing.unpack(pa) == a
+                assert (pa < pb) == (key(a) < key(b))
+                assert packing.divides(pa, pb) == mono_divides(a, b)
+                assert packing.lcm(pa, pb) == packing.pack(mono_lcm(a, b))
+                assert ((pa + pb + packing.room) & packing.guard == 0) == all(
+                    x + y <= EXPONENT_CAP for x, y in zip(a, b))
+                if max(map(sum, zip(a, b))) <= EXPONENT_CAP:
+                    assert pa + pb == packing.pack(mono_mul(a, b))
+                if mono_divides(a, b):
+                    assert pb - pa == packing.pack(mono_div(b, a))

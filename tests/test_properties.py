@@ -1,4 +1,5 @@
-"""Property tests of syndromes and decoding, with fixed example sequences.
+"""Property tests of syndromes, decoding, polynomial text and Groebner bases,
+with fixed example sequences.
 
 ``derandomize=True`` makes every run draw the same examples, so these
 tests are as repeatable as the rest of the suite.
@@ -8,8 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmgb.decoder import CLEAN, decode, syndrome
-from rmgb.polyring import Poly
-from rmgb.rmcode import CodeParams, Word, encode, message_monomials, word_to_poly
+from rmgb.groebner import buchberger_complete, check_basis, reduce_basis
+from rmgb.polyring import EXPONENT_CAP, ORDERS, Poly, format_poly, parse_poly
+from rmgb.rmcode import (
+    CodeParams,
+    Word,
+    encode,
+    message_monomials,
+    monomial_positions,
+    square_relations,
+    word_to_poly,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -58,3 +68,32 @@ def test_decode_corrects_up_to_t_errors(data):
     assert result.codeword == c
     assert result.error == word_to_poly(e)
     assert (result.status == CLEAN) == (not flips)
+
+
+@st.composite
+def polys(draw, max_m=6, max_exp=EXPONENT_CAP):
+    m = draw(st.integers(1, max_m))
+    mono = st.tuples(*[st.integers(0, max_exp)] * m)
+    return Poly(m, draw(st.lists(mono, max_size=8)))
+
+
+@PROPERTY_SETTINGS
+@given(polys(), st.sampled_from(ORDERS))
+def test_format_then_parse_round_trips(f, order):
+    assert parse_poly(format_poly(f, order), f.m) == f
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_completion_is_groebner_and_reduces_alike_in_any_generator_order(data):
+    # square-free generators plus the relations x_i^2 + 1 keep every
+    # exponent that Buchberger's algorithm meets below the cap
+    m = data.draw(st.integers(1, 4))
+    order = data.draw(st.sampled_from(ORDERS))
+    squarefree = st.sampled_from(monomial_positions(m))
+    extra = data.draw(st.lists(st.lists(squarefree, min_size=1, max_size=4), min_size=1, max_size=3))
+    gens = list(square_relations(m)) + [Poly(m, monos) for monos in extra]
+    basis = buchberger_complete(gens, order)
+    assert check_basis(basis, order).is_groebner
+    permuted = data.draw(st.permutations(gens))
+    assert reduce_basis(buchberger_complete(permuted, order), order) == reduce_basis(basis, order)
