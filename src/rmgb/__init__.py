@@ -16,12 +16,14 @@ from .rmcode import (
     Word,
     berman_check,
     encode,
+    encode_bits,
     groebner_basis,
     jennings_basis,
     message_monomials,
     min_weight_bruteforce,
     poly_to_word,
     random_message,
+    random_message_bits,
     rank,
     word_to_poly,
 )

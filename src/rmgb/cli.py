@@ -24,9 +24,10 @@ from .rmcode import (
     CodeParams,
     Word,
     encode,
+    encode_bits,
     groebner_basis,
     jennings_basis,
-    random_message,
+    random_message_bits,
     square_relations,
 )
 
@@ -152,26 +153,24 @@ def cmd_simulate(args) -> int:
     kind, weight, flip_prob = _parse_mode(args.mode)
     rng = random.Random(args.seed)
     decoded_ok = failures = miscorrections = 0
-    rows = []
-    start = time.perf_counter()
-    for trial in range(args.trials):
-        message = random_message(params, rng)
-        sent = encode(message, params)
-        error = random_error(params, kind, rng, weight=weight, flip_prob=flip_prob)
-        result = decode(sent + error, params)
-        correct = result.status != FAILURE and result.codeword == sent
-        if correct:
-            decoded_ok += 1
-        elif result.status == FAILURE:
-            failures += 1
-        else:
-            miscorrections += 1
-        rows.append((trial, error.weight(), result.status, "true" if correct else "false"))
-    elapsed = time.perf_counter() - start
+    # rows are written as they come, so an interrupted run keeps them
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["trial", "error_weight", "status", "correct"])
-        writer.writerows(rows)
+        start = time.perf_counter()
+        for trial in range(args.trials):
+            sent = encode_bits(random_message_bits(params, rng), params)
+            error = random_error(params, kind, rng, weight=weight, flip_prob=flip_prob)
+            result = decode(sent + error, params)
+            correct = result.status != FAILURE and result.codeword == sent
+            if correct:
+                decoded_ok += 1
+            elif result.status == FAILURE:
+                failures += 1
+            else:
+                miscorrections += 1
+            writer.writerow((trial, error.weight(), result.status, "true" if correct else "false"))
+        elapsed = time.perf_counter() - start
     report = SimReport(
         m=params.m,
         l=params.l,

@@ -30,7 +30,8 @@ For l >= 3 Reed's majority-logic decoder (Reed 1954; MacWilliams and
 Sloane, ch. 13) finds the nearest codeword on ``Word.value``, and the
 result is accepted when it lies within distance t.  For l <= 1, t = 0
 and every nonzero syndrome is a failure.  For errors of weight at most
-t the recovered codeword is exact.
+t the recovered codeword is exact.  A ``DecodeResult`` holds the error
+as bits, and builds its ``error`` polynomial only when that is first read.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .polyring import Poly
@@ -103,8 +104,15 @@ def hat_set(location, params: CodeParams) -> HatSet:
 class DecodeResult:
     status: str
     codeword: Optional[Word]
-    error: Optional[Poly]
+    error_bits: Optional[int]  # the error's coefficient bits; None on failure
     chosen_locations: Optional[tuple] = None  # the accepted set S, omega path only
+
+    @cached_property
+    def error(self) -> Optional[Poly]:
+        """The error polynomial, or None on failure; built on the first read."""
+        if self.error_bits is None:
+            return None
+        return word_to_poly(Word(self.codeword.n, self.error_bits))
 
 
 def decode(v: Word, params: CodeParams) -> DecodeResult:
@@ -119,10 +127,10 @@ def decode(v: Word, params: CodeParams) -> DecodeResult:
     """
     syn = syndrome(v, params)
     if not syn.weight:
-        return DecodeResult(CLEAN, v, Poly.zero(params.m))
+        return DecodeResult(CLEAN, v, 0)
     t = params.t
     if syn.weight <= t:
-        return DecodeResult(CORRECTED_LOW, v + syn.word, syn.remainder)
+        return DecodeResult(CORRECTED_LOW, v + syn.word, syn.word.value)
     if params.l == 2:
         error = _single_location(syn.word.value, params.m)
     elif params.l >= 3:
@@ -131,12 +139,8 @@ def decode(v: Word, params: CodeParams) -> DecodeResult:
         error = None
     if error is None or error.bit_count() > t:
         return DecodeResult(FAILURE, None, None)
-    return DecodeResult(
-        CORRECTED_OMEGA,
-        Word(v.n, v.value ^ error),
-        word_to_poly(Word(v.n, error)),
-        _high_locations(error, params),
-    )
+    codeword = Word(v.n, v.value ^ error)
+    return DecodeResult(CORRECTED_OMEGA, codeword, error, _high_locations(error, params))
 
 
 def _single_location(syndrome_bits: int, m: int) -> Optional[int]:
@@ -199,17 +203,23 @@ def _high_locations(error: int, params: CodeParams) -> tuple:
     """The error's locations with |I| >= l, in ``_candidate_locations`` order.
 
     That order is by size descending, then ``itertools.combinations``
-    order, which among sets of one size is descending order of the bit.
+    order, which among sets of one size is descending order of the bit:
+    the bits are collected highest first, and the sort is stable.
     """
-    m = params.m
     bits = []
     while error:
         b = error.bit_length() - 1
         error ^= 1 << b
         if b.bit_count() >= params.l:
             bits.append(b)
-    bits.sort(key=lambda b: (b.bit_count(), b), reverse=True)
-    return tuple(frozenset(i for i in range(1, m + 1) if b >> (m - i) & 1) for b in bits)
+    bits.sort(key=int.bit_count, reverse=True)
+    return tuple([_location(params.m, b) for b in bits])
+
+
+@lru_cache(maxsize=1024)  # bounded: at m = 16 there are 65536 locations
+def _location(m: int, b: int) -> frozenset:
+    """The subset I of {1..m} whose X_I has bit b."""
+    return frozenset(i for i in range(1, m + 1) if b >> (m - i) & 1)
 
 
 @lru_cache(maxsize=None)
@@ -238,10 +248,10 @@ def decode_search(v: Word, params: CodeParams) -> DecodeResult:
     """
     syn = syndrome(v, params)
     if not syn.weight:
-        return DecodeResult(CLEAN, v, Poly.zero(params.m))
+        return DecodeResult(CLEAN, v, 0)
     t = params.t
     if syn.weight <= t:
-        return DecodeResult(CORRECTED_LOW, v + syn.word, syn.remainder)
+        return DecodeResult(CORRECTED_LOW, v + syn.word, syn.word.value)
     rem = syn.word.value
     candidates = _candidate_locations(params)
     for size in range(1, t + 1):
@@ -256,8 +266,7 @@ def decode_search(v: Word, params: CodeParams) -> DecodeResult:
                 error ^= bit
             cw = Word(v.n, v.value ^ error)
             if syndrome(cw, params).weight == 0:
-                error_poly = word_to_poly(Word(v.n, error))
-                return DecodeResult(CORRECTED_OMEGA, cw, error_poly, tuple(c[0] for c in chosen))
+                return DecodeResult(CORRECTED_OMEGA, cw, error, tuple(c[0] for c in chosen))
     return DecodeResult(FAILURE, None, None)
 
 

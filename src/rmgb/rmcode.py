@@ -22,7 +22,9 @@ In ``Word.value``, bit b is the coefficient of X_I for the I whose
 indicator is the m-bit binary expansion of b, X1 being its most
 significant bit; so the subsets of I are the submasks of b.  Encoding
 and reduction modulo G(m, l) are then XOR transforms over submasks and
-supermasks, each m masked shift-XORs on one Python int.
+supermasks, each m masked shift-XORs on one Python int.  A message is
+an int in the same convention (``encode_bits``, ``random_message_bits``),
+so coding a word needs no ``Poly``; ``encode`` and ``random_message`` wrap them.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 
 from .polyring import MAX_VARS, Poly
 
 ENUMERATION_LIMIT = 4  # largest m for which full codeword enumeration is allowed
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to compress() selectors
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,9 @@ class Word:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"word length must be positive, got {self.n}")
-        if not 0 <= self.value < (1 << self.n):
+        if not isinstance(self.value, int):
+            raise ValueError(f"word value must be an int, got {type(self.value).__name__}")
+        if not (self.value >= 0 and self.value.bit_length() <= self.n):
             raise ValueError(f"value out of range for {self.n}-bit word")
 
     @classmethod
@@ -153,9 +159,9 @@ def monomial_positions(m: int):
 
 
 @lru_cache(maxsize=None)
-def _monomial_bits(m: int) -> dict:
-    """Bit index in ``Word.value`` of each square-free exponent tuple."""
-    return {mono: (1 << m) - 1 - i for i, mono in enumerate(monomial_positions(m))}
+def _monomial_index(m: int) -> dict:
+    """Word position (0-based, highest bit first) of each square-free exponent tuple."""
+    return {mono: i for i, mono in enumerate(monomial_positions(m))}
 
 
 def subset_monomial(m: int, subset) -> tuple:
@@ -176,7 +182,7 @@ def monomial_subset(mono) -> frozenset:
 
 def subset_bit(m: int, subset) -> int:
     """Bit index b of X_I in ``Word.value``."""
-    return _monomial_bits(m)[subset_monomial(m, subset)]
+    return (1 << m) - 1 - _monomial_index(m)[subset_monomial(m, subset)]
 
 
 @lru_cache(maxsize=None)
@@ -279,6 +285,9 @@ def word_to_poly(w: Word) -> Poly:
         raise ValueError(f"word length {w.n} is not 2^m for m in 1..{MAX_VARS}")
     positions, last = monomial_positions(m), w.n - 1
     support, value = [], w.value
+    if value.bit_count() * 16 > w.n:  # dense: select the positions of the 1 digits
+        flags = str(w).encode().translate(_FLAGS)
+        return Poly._make(m, frozenset(itertools.compress(positions, flags)))
     while value:  # one step per set bit, highest first, so value shrinks
         top = value.bit_length() - 1
         support.append(positions[last - top])
@@ -287,14 +296,15 @@ def word_to_poly(w: Word) -> Poly:
 
 
 def poly_to_word(f: Poly) -> Word:
-    """Inverse of word_to_poly; requires a square-free polynomial."""
-    bits = _monomial_bits(f.m)
-    value = 0
-    for mono in f.support:
-        if mono not in bits:  # only square-free monomials have a position
-            raise ValueError("only square-free polynomials correspond to words")
-        value |= 1 << bits[mono]
-    return Word(1 << f.m, value)
+    """Inverse of word_to_poly; requires a square-free polynomial.  Linear in n."""
+    index = _monomial_index(f.m)
+    digits = bytearray(b"0") * len(index)
+    try:
+        for mono in f.support:
+            digits[index[mono]] = 49  # ord("1")
+    except KeyError:  # only square-free monomials have a position
+        raise ValueError("only square-free polynomials correspond to words") from None
+    return Word(len(index), int(digits, 2))
 
 
 @lru_cache(maxsize=None)
@@ -306,33 +316,36 @@ def message_monomials(params: CodeParams):
     from nu down; within one degree, ``itertools.combinations`` order of
     the variable indices is descending lex order.
     """
-    m = params.m
-    positions, last = monomial_positions(m), (1 << m) - 1
-    variable_bits = [1 << (m - 1 - i) for i in range(m)]
-    return tuple(
-        positions[last - sum(combo)]
-        for k in range(params.nu, -1, -1)
-        for combo in itertools.combinations(variable_bits, k)
-    )
+    positions, last = monomial_positions(params.m), params.n - 1
+    return tuple(positions[last - b] for b in _message_bits(params))
+
+
+@lru_cache(maxsize=None)
+def _message_bits(params: CodeParams) -> tuple:
+    """Bit index in ``Word.value`` of each message monomial, in the same order."""
+    variable_bits = [1 << (params.m - 1 - i) for i in range(params.m)]
+    degrees = range(params.nu, -1, -1)
+    return tuple(sum(c) for k in degrees for c in itertools.combinations(variable_bits, k))
+
+
+def encode_bits(bits: int, params: CodeParams) -> Word:
+    """Evaluate at all points of {0,1}^m the message with these coefficient bits.
+
+    Only bits of popcount at most nu may be set.  A square-free monomial
+    evaluates to 1 at a point p exactly when its support is contained in
+    that of p, so the word is the subset-XOR transform of the message.
+    """
+    if bits & ~_low_degree_mask(params.m, params.nu + 1):
+        degree = word_to_poly(Word(params.n, bits)).total_degree()
+        raise ValueError(f"message degree {degree} exceeds code order {params.nu}")
+    return Word(params.n, subset_xor(bits, params.m))
 
 
 def encode(message: Poly, params: CodeParams) -> Word:
-    """Evaluate a message polynomial at all points of {0,1}^m.
-
-    The message must be square-free of total degree at most nu.  The
-    bit at the position carrying exponent tuple p is message(p) mod 2;
-    a square-free monomial evaluates to 1 at p exactly when its support
-    is contained in the support of p, so the word is the subset-XOR
-    transform of the message's coefficient bits.
-    """
+    """Encode a square-free message polynomial of total degree at most nu."""
     if message.m != params.m:
         raise ValueError(f"message has {message.m} variables, code expects {params.m}")
-    bits = poly_to_word(message).value  # raises unless square-free
-    if bits & ~_low_degree_mask(params.m, params.nu + 1):
-        raise ValueError(
-            f"message degree {message.total_degree()} exceeds code order {params.nu}"
-        )
-    return Word(params.n, subset_xor(bits, params.m))
+    return encode_bits(poly_to_word(message).value, params)  # raises unless square-free
 
 
 def _check_enumerable(params: CodeParams, what: str) -> None:
@@ -343,7 +356,7 @@ def _check_enumerable(params: CodeParams, what: str) -> None:
 def codewords(params: CodeParams):
     """Yield all 2^dim codewords in a deterministic order (m <= 4 only)."""
     _check_enumerable(params, "codeword enumeration")
-    rows = [encode(Poly.monomial(params.m, mono), params).value for mono in message_monomials(params)]
+    rows = [encode_bits(1 << b, params).value for b in _message_bits(params)]
     for mask in range(1 << len(rows)):
         acc = 0
         for i, row in enumerate(rows):
@@ -372,28 +385,33 @@ def berman_check(params: CodeParams) -> bool:
     of their union.
     """
     radical_rows = [poly_to_word(g).value for g in jennings_basis(params)]
-    rm_rows = [encode(Poly.monomial(params.m, mono), params).value for mono in message_monomials(params)]
+    rm_rows = [encode_bits(1 << b, params).value for b in _message_bits(params)]
     return rank(radical_rows) == rank(rm_rows) == rank(radical_rows + rm_rows)
 
 
 def min_weight_bruteforce(params: CodeParams) -> int:
     """Minimum weight over all nonzero codewords, by full enumeration."""
     _check_enumerable(params, "minimum-weight search")
-    best = None
-    for w in codewords(params):
-        if w.value == 0:
-            continue
-        wt = w.weight()
-        if best is None or wt < best:
-            best = wt
-    if best is None:
-        raise ValueError("code has no nonzero codewords")
-    return best
+    return min(w.weight() for w in codewords(params) if w.value)  # the all-ones word is one
+
+
+@lru_cache(maxsize=None)
+def _message_scatter(params: CodeParams):
+    """Picks each word digit out of a draw's k binary digits and a padding "0"."""
+    bits = _message_bits(params)
+    k, source = len(bits), [len(bits)] * params.n
+    for i, b in enumerate(bits):
+        source[params.n - 1 - b] = k - 1 - i  # bit i of the draw is digit k - 1 - i
+    return k, itemgetter(*source)
+
+
+def random_message_bits(params: CodeParams, rng) -> int:
+    """Random message bits: bit i of one draw is that of ``message_monomials(params)[i]``."""
+    k, scatter = _message_scatter(params)
+    digits = format(rng.getrandbits(k), f"0{k}b") + "0"
+    return int("".join(scatter(digits)), 2)
 
 
 def random_message(params: CodeParams, rng) -> Poly:
     """Uniformly random message polynomial drawn from the given Random."""
-    monos = message_monomials(params)
-    mask = rng.getrandbits(len(monos))
-    bits = format(mask, f"0{len(monos)}b")[::-1]  # bits[i] is bit i of mask
-    return Poly._make(params.m, frozenset(mono for mono, b in zip(monos, bits) if b == "1"))
+    return word_to_poly(Word(params.n, random_message_bits(params, rng)))

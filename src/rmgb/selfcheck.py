@@ -164,7 +164,7 @@ def verify_decode_agreement(params: CodeParams, codeword_sample: int = 32,
             res = decode(v, params)
             if res.status == FAILURE:
                 raise CheckFailed(f"decode failed on c={c}, e={e} (m={params.m}, l={params.l})")
-            if res.codeword != c or res.error != word_to_poly(e):
+            if res.codeword != c or res.error_bits != e.value:
                 raise CheckFailed(
                     f"decode mismatch on c={c}, e={e} (m={params.m}, l={params.l}): "
                     f"got codeword {res.codeword}, error {res.error}"

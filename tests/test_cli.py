@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -159,6 +160,86 @@ def test_simulate_deterministic(capsys, tmp_path):
     assert lines[0] == "trial,error_weight,status,correct"
     assert len(lines) == 201
     assert lines[1].startswith("0,1,")
+
+
+# CSV sha256 prefixes and JSON summaries (without elapsed_s) recorded before
+# the coding path moved to int messages; the seeded streams must not move.
+SIMULATE_GOLDEN = [
+    (("-m", "3", "-l", "2", "--mode", "fixed:1", "--seed", "11", "--trials", "200"),
+     "63366e4a64a9738a", (1, 200, 0, 0)),
+    (("-m", "6", "-l", "3", "--mode", "bsc:0.03", "--seed", "5", "--trials", "300"),
+     "86c2d19bf4805052", (3, 259, 41, 0)),
+    (("-m", "8", "-l", "2", "--mode", "bsc:0.003", "--seed", "7", "--trials", "300"),
+     "a08db54c965f049c", (1, 240, 43, 17)),
+    (("-m", "16", "-l", "2", "--mode", "fixed:1", "--seed", "3", "--trials", "30"),
+     "c75e04dc2df9a023", (1, 30, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("argv,digest,counts", SIMULATE_GOLDEN, ids=["m3", "m6", "m8", "m16"])
+def test_simulate_golden(capsys, tmp_path, argv, digest, counts):
+    path = tmp_path / "sim.csv"
+    code, stdout, _ = run(capsys, "simulate", *argv, "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+    report = json.loads(stdout)
+    assert report.pop("elapsed_s") >= 0
+    opts = dict(zip(argv[::2], argv[1::2]))
+    t, ok, failures, miscorrections = counts
+    want = (
+        f'{{"m": {opts["-m"]}, "l": {opts["-l"]}, "t": {t}, "trials": {opts["--trials"]}, '
+        f'"mode": "{opts["--mode"]}", "seed": {opts["--seed"]}, "decoded_ok": {ok}, '
+        f'"failures": {failures}, "miscorrections": {miscorrections}}}'
+    )
+    assert json.dumps(report) == want
+
+
+def test_simulate_bad_out_fails_before_any_trial(capsys, tmp_path, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("rmgb.cli.decode", no_trials)
+    code, _, err = run(
+        capsys, "simulate", "-m", "3", "-l", "2", "--trials", "5", "--mode", "fixed:1",
+        "--out", str(tmp_path / "missing" / "x.csv"),
+    )
+    assert code == 2 and "error:" in err
+
+
+def test_simulate_interrupted_run_keeps_its_rows(capsys, tmp_path, monkeypatch):
+    from rmgb import cli
+
+    argv = ["simulate", "-m", "3", "-l", "2", "--trials", "10", "--mode", "fixed:1", "--seed", "11"]
+    full = tmp_path / "full.csv"
+    assert run(capsys, *argv, "--out", str(full))[0] == 0
+    real, calls = cli.decode, []
+
+    def interrupt_third(v, params):
+        calls.append(v)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(v, params)
+
+    monkeypatch.setattr(cli, "decode", interrupt_third)
+    cut = tmp_path / "cut.csv"
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--out", str(cut)])
+    assert cut.read_text().splitlines() == full.read_text().splitlines()[:3]  # header, two rows
+
+
+def test_simulate_builds_no_polynomial(capsys, tmp_path, monkeypatch):
+    from rmgb.polyring import Poly
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate built a Poly")
+
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    monkeypatch.setattr(Poly, "_make", classmethod(refuse))
+    code, stdout, _ = run(
+        capsys, "simulate", "-m", "6", "-l", "3", "--trials", "50", "--mode", "bsc:0.03",
+        "--seed", "5", "--out", str(tmp_path / "s.csv"),
+    )
+    assert code == 0 and json.loads(stdout)["trials"] == 50
 
 
 def test_simulate_zero_weight_all_clean(capsys, tmp_path):

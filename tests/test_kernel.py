@@ -1,26 +1,41 @@
 """The XOR-transform kernel against the slow reference paths.
 
 Encoding is pinned to point-by-point evaluation, and syndromes and hat
-sets to multivariate division by G(m, l).
+sets to multivariate division by G(m, l).  The int message core
+(``encode_bits``, ``random_message_bits``) is pinned to the ``Poly``
+entry points, and ``DecodeResult.error`` to its ``error_bits``.
 """
 
 import random
+import re
 
 import pytest
 
-from rmgb.decoder import CLEAN, CORRECTED_LOW, decode, hat_set, syndrome
+import rmgb.decoder
+from rmgb.decoder import (
+    CLEAN,
+    CORRECTED_LOW,
+    CORRECTED_OMEGA,
+    FAILURE,
+    decode,
+    decode_search,
+    hat_set,
+    syndrome,
+)
 from rmgb.division import remainder
-from rmgb.polyring import GRLEX, Poly
+from rmgb.polyring import GRLEX, Poly, parse_poly
 from rmgb.rmcode import (
     CodeParams,
     Word,
     encode,
+    encode_bits,
     groebner_basis,
     message_monomials,
     monomial_positions,
     monomial_subset,
     poly_to_word,
     random_message,
+    random_message_bits,
     subset_bit,
     subset_monomial,
     subset_xor,
@@ -104,3 +119,87 @@ def test_m16_edge(l):
         assert result.status == CORRECTED_LOW
         assert result.codeword == c
         assert result.error == Poly.monomial(16, subset_monomial(16, location))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_encode_bits_matches_encode(m):
+    rng = random.Random(100 + m)
+    for l in range(m + 1):
+        params = CodeParams(m, l)
+        messages = [Poly.monomial(m, mono) for mono in message_monomials(params)]
+        messages += [random_message(params, rng) for _ in range(3)]
+        for f in messages:
+            assert encode_bits(poly_to_word(f).value, params) == encode(f, params)
+
+
+def message_bits_by_monomials(params, seed):
+    """Reference draw: bit i of one getrandbits draw selects message monomial i."""
+    monos = message_monomials(params)
+    mask = random.Random(seed).getrandbits(len(monos))
+    chosen = frozenset(mono for i, mono in enumerate(monos) if mask >> i & 1)
+    return poly_to_word(Poly._make(params.m, chosen)).value
+
+
+@pytest.mark.parametrize("m,l", [(m, l) for m in range(1, 9) for l in range(m + 1)] + [(16, 2), (16, 8)])
+def test_random_message_bits_matches_random_message(m, l):
+    params = CodeParams(m, l)
+    for seed in range(3):
+        bits = random_message_bits(params, random.Random(seed))
+        assert bits == poly_to_word(random_message(params, random.Random(seed))).value
+        assert bits == message_bits_by_monomials(params, seed)
+    # one stream: successive draws continue it as random_message does
+    a, b = random.Random(7), random.Random(7)
+    for _ in range(3):
+        assert random_message_bits(params, a) == poly_to_word(random_message(params, b)).value
+
+
+def raises_exactly(text):
+    return pytest.raises(ValueError, match=f"^{re.escape(text)}$")
+
+
+@pytest.mark.parametrize("m,l", [(2, 2), (2, 1), (16, 2), (16, 8)])
+def test_bad_messages_rejected_with_the_same_text(m, l):
+    params = CodeParams(m, l)
+    squared = Poly(m, [(2,) + (0,) * (m - 1), (0,) * m])  # x1^2 + 1
+    with raises_exactly("only square-free polynomials correspond to words"):
+        poly_to_word(squared)
+    with raises_exactly("only square-free polynomials correspond to words"):
+        encode(squared, params)
+    top = Poly(m, [(1,) * (params.nu + 1) + (0,) * (l - 1), (0,) * m])  # degree nu + 1
+    text = f"message degree {params.nu + 1} exceeds code order {params.nu}"
+    with raises_exactly(text):
+        encode(top, params)
+    with raises_exactly(text):
+        encode_bits(poly_to_word(top).value, params)
+    with raises_exactly(f"message has {m} variables, code expects {m - 1}"):
+        encode(Poly.one(m), CodeParams(m - 1, 0))
+
+
+def test_decode_result_error_is_built_from_its_bits(monkeypatch):
+    params = CodeParams(3, 2)
+    c = encode(parse_poly("y1 + y3", 3), params)
+    words = {
+        CLEAN: c,
+        CORRECTED_LOW: c.flip(8),  # the constant monomial
+        CORRECTED_OMEGA: c.flip(1),  # X1*X2*X3
+        FAILURE: Word.from_string("11000000"),
+    }
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return word_to_poly(w)
+
+    monkeypatch.setattr(rmgb.decoder, "word_to_poly", counting)
+    for status, v in words.items():
+        for result in (decode(v, params), decode_search(v, params)):
+            assert result.status == status
+            assert not calls  # decoding builds no polynomial
+            if status == FAILURE:
+                assert result.error_bits is None and result.error is None
+                continue
+            assert result.error_bits == (v + result.codeword).value
+            assert result.error == word_to_poly(Word(params.n, result.error_bits))
+            assert result.error is result.error  # built once, on the first read
+            assert calls == [Word(params.n, result.error_bits)]  # through the decoder's global
+            calls.clear()

@@ -84,6 +84,20 @@ def test_word_validation():
         Word(3, 1).flip(4)
 
 
+def test_word_value_must_be_an_int_in_range():
+    with pytest.raises(ValueError, match="must be an int, got float"):
+        Word(4, 2.0)
+    with pytest.raises(ValueError, match="must be an int, got str"):
+        Word(4, "3")
+    for n in (1, 3, 64, 1 << 16):
+        assert Word(n, 0).value == 0
+        assert Word(n, (1 << n) - 1).weight() == n  # the top edge
+        with pytest.raises(ValueError, match="out of range"):
+            Word(n, 1 << n)
+        with pytest.raises(ValueError, match="out of range"):
+            Word(n, -1)
+
+
 def test_monomial_positions_m3():
     assert monomial_positions(3) == (
         (1, 1, 1), (1, 1, 0), (1, 0, 1), (1, 0, 0),
