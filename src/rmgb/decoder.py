@@ -8,7 +8,9 @@ transforms of ``rmcode.remainder_bits`` on ``Word.value``; the tests pin
 it to the remainder of ``division.remainder`` for every m <= 7.
 
 Writing the error as a sum of square-free monomials X_I (the error
-locations), the decoder exploits a weight dichotomy:
+locations), the decoder exploits a weight dichotomy.  A location I is
+bit b of ``Word.value`` under the one subset map of ``rmcode``
+(``subset_bit``, ``bit_subset``, ``subset_bits``), so |I| is b's popcount:
 
 * if every location has |I| < l, the syndrome simply equals the error
   polynomial and has weight at most t;
@@ -47,11 +49,13 @@ from .rmcode import (
     CodeParams,
     Word,
     _half_masks,
-    codewords,
-    monomial_subset,
+    bit_subset,
+    codeword_values,
     poly_to_word,  # unused here; kept bound because bench/tracer.py wraps it by name
     remainder_bits,
+    set_bits,
     subset_bit,
+    subset_bits,
     subset_xor,
     superset_xor,
     word_to_poly,
@@ -96,8 +100,8 @@ def hat_set(location, params: CodeParams) -> HatSet:
     {I}; for |I| = l it is the set of proper subsets of I.
     """
     location = frozenset(location)
-    rem = Word(params.n, remainder_bits(1 << subset_bit(params.m, location), params))
-    return HatSet(location, frozenset(monomial_subset(mono) for mono in word_to_poly(rem).support))
+    rem = remainder_bits(1 << subset_bit(params.m, location), params)
+    return HatSet(location, frozenset(bit_subset(params.m, b) for b in set_bits(rem)))
 
 
 @dataclass(frozen=True)
@@ -202,9 +206,9 @@ def _reed_error(value: int, params: CodeParams) -> int:
 def _high_locations(error: int, params: CodeParams) -> tuple:
     """The error's locations with |I| >= l, in ``_candidate_locations`` order.
 
-    That order is by size descending, then ``itertools.combinations``
-    order, which among sets of one size is descending order of the bit:
-    the bits are collected highest first, and the sort is stable.
+    That order is ``rmcode.subset_bits``': by size descending, then
+    descending bit within one size.  The bits are collected highest
+    first, and the sort is stable.
     """
     bits = []
     while error:
@@ -213,24 +217,16 @@ def _high_locations(error: int, params: CodeParams) -> tuple:
         if b.bit_count() >= params.l:
             bits.append(b)
     bits.sort(key=int.bit_count, reverse=True)
-    return tuple([_location(params.m, b) for b in bits])
-
-
-@lru_cache(maxsize=1024)  # bounded: at m = 16 there are 65536 locations
-def _location(m: int, b: int) -> frozenset:
-    """The subset I of {1..m} whose X_I has bit b."""
-    return frozenset(i for i in range(1, m + 1) if b >> (m - i) & 1)
+    return tuple([bit_subset(params.m, b) for b in bits])
 
 
 @lru_cache(maxsize=None)
 def _candidate_locations(params: CodeParams):
     # (I, bit of X_I, remainder bits of X_I) for |I| >= l, in descending X_I order
-    out = []
-    for k in range(params.m, params.l - 1, -1):
-        for combo in itertools.combinations(range(1, params.m + 1), k):
-            bit = 1 << subset_bit(params.m, combo)
-            out.append((frozenset(combo), bit, remainder_bits(bit, params)))
-    return tuple(out)
+    return tuple(
+        (bit_subset(params.m, b), 1 << b, remainder_bits(1 << b, params))
+        for b in subset_bits(params.m, range(params.m, params.l - 1, -1))
+    )
 
 
 def decode_search(v: Word, params: CodeParams) -> DecodeResult:
@@ -285,16 +281,10 @@ def ml_decode_bruteforce(v: Word, params: CodeParams) -> MLResult:
     """
     if v.n != params.n:
         raise ValueError(f"word length {v.n} does not match code length {params.n}")
-    best = None
-    best_dist = None
-    tie = False
-    for c in codewords(params):
-        dist = (c + v).weight()
-        if best_dist is None or dist < best_dist:
-            best, best_dist, tie = c, dist, False
-        elif dist == best_dist:
-            tie = True
-    return MLResult(best, best_dist, tie)
+    values = codeword_values(params)
+    dists = [(c ^ v.value).bit_count() for c in values]
+    best = min(dists)
+    return MLResult(Word(v.n, values[dists.index(best)]), best, dists.count(best) > 1)
 
 
 def random_error(params: CodeParams, mode: str, seed, *, weight=None, flip_prob=None) -> Word:

@@ -20,11 +20,15 @@ the role of Groebner bases for the decoder.
 
 In ``Word.value``, bit b is the coefficient of X_I for the I whose
 indicator is the m-bit binary expansion of b, X1 being its most
-significant bit; so the subsets of I are the submasks of b.  Encoding
-and reduction modulo G(m, l) are then XOR transforms over submasks and
-supermasks, each m masked shift-XORs on one Python int.  A message is
-an int in the same convention (``encode_bits``, ``random_message_bits``),
-so coding a word needs no ``Poly``; ``encode`` and ``random_message`` wrap them.
+significant bit: b is the sum of 2^(m - i) over i in I, and the subsets
+of I are the submasks of b.  This module owns that map: ``subset_bit``
+and its inverse ``bit_subset``, and ``subset_bits`` lists the bits of
+the subsets of given sizes; the decoder and the checks use them.
+Encoding and reduction modulo G(m, l) are then XOR transforms over
+submasks and supermasks, each m masked shift-XORs on one Python int.
+A message is an int in the same convention (``encode_bits``,
+``random_message_bits``), so coding a word needs no ``Poly``; ``encode``
+and ``random_message`` wrap them.
 """
 
 from __future__ import annotations
@@ -164,25 +168,36 @@ def _monomial_index(m: int) -> dict:
     return {mono: i for i, mono in enumerate(monomial_positions(m))}
 
 
-def subset_monomial(m: int, subset) -> tuple:
-    """Exponent tuple of X_I for a subset I of {1, ..., m}."""
-    subset = frozenset(subset)
-    for i in subset:
+def subset_bit(m: int, subset) -> int:
+    """Bit index b of X_I in ``Word.value``: the sum of 2^(m - i) over i in I."""
+    b = 0
+    for i in frozenset(subset):
         if not 1 <= i <= m:
             raise ValueError(f"index {i} out of range 1..{m}")
-    return tuple(1 if i + 1 in subset else 0 for i in range(m))
+        b |= 1 << (m - i)
+    return b
 
 
-def monomial_subset(mono) -> frozenset:
-    """Subset I with X_I equal to the given square-free monomial."""
-    if any(e not in (0, 1) for e in mono):
-        raise ValueError(f"monomial {mono} is not square-free")
-    return frozenset(i + 1 for i, e in enumerate(mono) if e)
+@lru_cache(maxsize=1024)  # bounded: at m = 16 there are 65536 subsets
+def bit_subset(m: int, b: int) -> frozenset:
+    """The subset I of {1..m} whose X_I has bit b; the inverse of ``subset_bit``."""
+    return frozenset(i for i in range(1, m + 1) if b >> (m - i) & 1)
 
 
-def subset_bit(m: int, subset) -> int:
-    """Bit index b of X_I in ``Word.value``."""
-    return (1 << m) - 1 - _monomial_index(m)[subset_monomial(m, subset)]
+@lru_cache(maxsize=None)
+def subset_bits(m: int, sizes) -> tuple:
+    """The ints below 2^m with popcount in sizes, by size, then descending: for
+    subsets I of the variables, the bits of the X_I in ``combinations`` order of I."""
+    variable_bits = [1 << (m - i) for i in range(1, m + 1)]
+    return tuple(sum(c) for k in sizes for c in itertools.combinations(variable_bits, k))
+
+
+def set_bits(value: int):
+    """Yield the indices of the set bits of a nonnegative int, highest first."""
+    while value:
+        b = value.bit_length() - 1
+        yield b
+        value ^= 1 << b
 
 
 @lru_cache(maxsize=None)
@@ -234,16 +249,12 @@ def remainder_bits(value: int, params: CodeParams) -> int:
 
 def product_generator(m: int, subset) -> Poly:
     """The product g_I of (X_i - 1) over i in I: sum of X_L for L subset I."""
-    subset = sorted(frozenset(subset))
-    for i in subset:
-        if not 1 <= i <= m:
-            raise ValueError(f"index {i} out of range 1..{m}")
-    monomials = [
-        subset_monomial(m, sub)
-        for k in range(len(subset) + 1)
-        for sub in itertools.combinations(subset, k)
-    ]
-    return Poly(m, monomials)
+    return _generator(m, subset_bit(m, subset))
+
+
+def _generator(m: int, b: int) -> Poly:
+    # the subsets L of I are the submasks of b, the bits with b as a supermask
+    return word_to_poly(Word(1 << m, superset_xor(1 << b, m)))
 
 
 @lru_cache(maxsize=None)
@@ -253,10 +264,7 @@ def groebner_basis(params: CodeParams):
     This set is the reduced Groebner basis of the ideal it generates,
     for both lex and grlex; the decoder divides by it.
     """
-    return tuple(
-        product_generator(params.m, subset)
-        for subset in itertools.combinations(range(1, params.m + 1), params.l)
-    )
+    return tuple(_generator(params.m, b) for b in subset_bits(params.m, (params.l,)))
 
 
 @lru_cache(maxsize=None)
@@ -271,11 +279,8 @@ def square_relations(m: int):
 
 def jennings_basis(params: CodeParams):
     """Module basis {g_I : |I| >= l} of M^l, in descending X_I order."""
-    out = []
-    for k in range(params.m, params.l - 1, -1):
-        for subset in itertools.combinations(range(1, params.m + 1), k):
-            out.append(product_generator(params.m, subset))
-    return tuple(out)
+    m = params.m
+    return tuple(_generator(m, b) for b in subset_bits(m, range(m, params.l - 1, -1)))
 
 
 def word_to_poly(w: Word) -> Poly:
@@ -284,15 +289,10 @@ def word_to_poly(w: Word) -> Poly:
     if (1 << m) != w.n or not 1 <= m <= MAX_VARS:
         raise ValueError(f"word length {w.n} is not 2^m for m in 1..{MAX_VARS}")
     positions, last = monomial_positions(m), w.n - 1
-    support, value = [], w.value
-    if value.bit_count() * 16 > w.n:  # dense: select the positions of the 1 digits
+    if w.value.bit_count() * 16 > w.n:  # dense: select the positions of the 1 digits
         flags = str(w).encode().translate(_FLAGS)
         return Poly._make(m, frozenset(itertools.compress(positions, flags)))
-    while value:  # one step per set bit, highest first, so value shrinks
-        top = value.bit_length() - 1
-        support.append(positions[last - top])
-        value ^= 1 << top
-    return Poly._make(m, frozenset(support))
+    return Poly._make(m, frozenset([positions[last - b] for b in set_bits(w.value)]))
 
 
 def poly_to_word(f: Poly) -> Word:
@@ -320,12 +320,9 @@ def message_monomials(params: CodeParams):
     return tuple(positions[last - b] for b in _message_bits(params))
 
 
-@lru_cache(maxsize=None)
 def _message_bits(params: CodeParams) -> tuple:
     """Bit index in ``Word.value`` of each message monomial, in the same order."""
-    variable_bits = [1 << (params.m - 1 - i) for i in range(params.m)]
-    degrees = range(params.nu, -1, -1)
-    return tuple(sum(c) for k in degrees for c in itertools.combinations(variable_bits, k))
+    return subset_bits(params.m, range(params.nu, -1, -1))
 
 
 def encode_bits(bits: int, params: CodeParams) -> Word:
@@ -335,8 +332,10 @@ def encode_bits(bits: int, params: CodeParams) -> Word:
     evaluates to 1 at a point p exactly when its support is contained in
     that of p, so the word is the subset-XOR transform of the message.
     """
+    if bits < 0 or bits.bit_length() > params.n:
+        raise ValueError(f"message bits out of range for {params.n}-bit words")
     if bits & ~_low_degree_mask(params.m, params.nu + 1):
-        degree = word_to_poly(Word(params.n, bits)).total_degree()
+        degree = max(map(int.bit_count, set_bits(bits)))  # attained at an offending bit
         raise ValueError(f"message degree {degree} exceeds code order {params.nu}")
     return Word(params.n, subset_xor(bits, params.m))
 
@@ -353,16 +352,21 @@ def _check_enumerable(params: CodeParams, what: str) -> None:
         raise ValueError(f"{what} is limited to m <= {ENUMERATION_LIMIT}, got m={params.m}")
 
 
-def codewords(params: CodeParams):
-    """Yield all 2^dim codewords in a deterministic order (m <= 4 only)."""
+@lru_cache(maxsize=None)
+def codeword_values(params: CodeParams) -> tuple:
+    """Values of all 2^dim codewords (m <= 4 only), built by doubling: entry
+    mask is the XOR of the generator rows i with bit i set in mask."""
     _check_enumerable(params, "codeword enumeration")
-    rows = [encode_bits(1 << b, params).value for b in _message_bits(params)]
-    for mask in range(1 << len(rows)):
-        acc = 0
-        for i, row in enumerate(rows):
-            if (mask >> i) & 1:
-                acc ^= row
-        yield Word(params.n, acc)
+    values = [0]
+    for b in _message_bits(params):
+        row = subset_xor(1 << b, params.m)
+        values += [v ^ row for v in values]
+    return tuple(values)
+
+
+def codewords(params: CodeParams):
+    """All 2^dim codewords in a deterministic order (m <= 4 only), one by one."""
+    return (Word(params.n, value) for value in codeword_values(params))
 
 
 def rank(rows) -> int:
@@ -392,7 +396,7 @@ def berman_check(params: CodeParams) -> bool:
 def min_weight_bruteforce(params: CodeParams) -> int:
     """Minimum weight over all nonzero codewords, by full enumeration."""
     _check_enumerable(params, "minimum-weight search")
-    return min(w.weight() for w in codewords(params) if w.value)  # the all-ones word is one
+    return min(v.bit_count() for v in codeword_values(params) if v)  # the all-ones word is one
 
 
 @lru_cache(maxsize=None)
@@ -405,11 +409,17 @@ def _message_scatter(params: CodeParams):
     return k, itemgetter(*source)
 
 
-def random_message_bits(params: CodeParams, rng) -> int:
-    """Random message bits: bit i of one draw is that of ``message_monomials(params)[i]``."""
+def message_from_mask(params: CodeParams, mask: int) -> int:
+    """Message bits in which bit i of mask selects ``message_monomials(params)[i]``."""
     k, scatter = _message_scatter(params)
-    digits = format(rng.getrandbits(k), f"0{k}b") + "0"
-    return int("".join(scatter(digits)), 2)
+    if mask < 0 or mask.bit_length() > k:
+        raise ValueError(f"message mask out of range for {k} message monomials")
+    return int("".join(scatter(format(mask, f"0{k}b") + "0")), 2)
+
+
+def random_message_bits(params: CodeParams, rng) -> int:
+    """Random message bits: the ``message_from_mask`` of one draw of dim bits."""
+    return message_from_mask(params, rng.getrandbits(params.dim))
 
 
 def random_message(params: CodeParams, rng) -> Poly:

@@ -7,23 +7,23 @@ the first violation and returns a short summary string on success.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .decoder import FAILURE, decode, decode_search, hat_set, ml_decode_bruteforce, syndrome
-from .polyring import Poly, parse_poly
+from .polyring import parse_poly
 from .rmcode import (
     CodeParams,
     Word,
     berman_check,
-    encode,
+    bit_subset,
+    encode_bits,
     jennings_basis,
-    message_monomials,
+    message_from_mask,
     min_weight_bruteforce,
-    monomial_subset,
     poly_to_word,
     rank,
-    word_to_poly,
+    set_bits,
+    subset_bits,
 )
 
 DEFAULT_SWEEP_SEED = 20240814
@@ -33,18 +33,6 @@ class CheckFailed(Exception):
     """A verification sweep found a violation; the message describes it."""
 
 
-def error_words(n: int, max_weight: int):
-    """All words of length n and weight at most max_weight, ascending weight."""
-    out = [Word.zeros(n)]
-    for k in range(1, max_weight + 1):
-        for combo in itertools.combinations(range(n), k):
-            value = 0
-            for b in combo:
-                value |= 1 << b
-            out.append(Word(n, value))
-    return out
-
-
 def sample_codewords(params: CodeParams, sample: int, seed: int):
     """Deterministic codeword sample: the whole code when it is small."""
     total = 1 << params.dim
@@ -52,12 +40,7 @@ def sample_codewords(params: CodeParams, sample: int, seed: int):
         masks = list(range(total))
     else:
         masks = sorted(random.Random(seed).sample(range(total), sample))
-    monos = message_monomials(params)
-    out = []
-    for mask in masks:
-        msg = Poly(params.m, [mono for i, mono in enumerate(monos) if (mask >> i) & 1])
-        out.append(encode(msg, params))
-    return out
+    return [encode_bits(message_from_mask(params, mask), params) for mask in masks]
 
 
 def verify_golden_example() -> str:
@@ -104,11 +87,10 @@ def verify_dichotomy(params: CodeParams) -> str:
     location I has |I| < l; one high-degree location pushes it past t.
     """
     t = params.t
-    checked = 0
-    for e in error_words(params.n, t):
-        if e.value == 0:
-            continue
-        locations = [monomial_subset(mono) for mono in word_to_poly(e).support]
+    errors = subset_bits(params.n, range(1, t + 1))  # the nonzero words of weight <= t
+    for value in errors:
+        e = Word(params.n, value)
+        locations = [bit_subset(params.m, b) for b in set_bits(value)]
         all_low = all(len(loc) < params.l for loc in locations)
         weight = syndrome(e, params).weight
         if (weight <= t) != all_low:
@@ -116,8 +98,7 @@ def verify_dichotomy(params: CodeParams) -> str:
                 f"dichotomy violated for error {e} (m={params.m}, l={params.l}): "
                 f"syndrome weight {weight}, locations {sorted(map(sorted, locations))}"
             )
-        checked += 1
-    return f"{checked} error patterns"
+    return f"{len(errors)} error patterns"
 
 
 def verify_location_weights(params: CodeParams) -> str:
@@ -126,22 +107,20 @@ def verify_location_weights(params: CodeParams) -> str:
     For |I| = l the remainder of X_I has weight exactly 2^l - 1.
     """
     t = params.t
-    checked = 0
-    for k in range(params.l, params.m + 1):
-        for combo in itertools.combinations(range(1, params.m + 1), k):
-            loc = frozenset(combo)
-            weight = len(hat_set(loc, params).hat)
-            if weight <= t:
-                raise CheckFailed(
-                    f"remainder of X_{sorted(loc)} has weight {weight} <= t = {t}"
-                )
-            if k == params.l and weight != params.min_distance - 1:
-                raise CheckFailed(
-                    f"remainder of X_{sorted(loc)} has weight {weight}, "
-                    f"expected 2^l - 1 = {params.min_distance - 1}"
-                )
-            checked += 1
-    return f"{checked} locations"
+    bits = subset_bits(params.m, range(params.l, params.m + 1))
+    for b in bits:
+        loc = bit_subset(params.m, b)
+        weight = len(hat_set(loc, params).hat)
+        if weight <= t:
+            raise CheckFailed(
+                f"remainder of X_{sorted(loc)} has weight {weight} <= t = {t}"
+            )
+        if len(loc) == params.l and weight != params.min_distance - 1:
+            raise CheckFailed(
+                f"remainder of X_{sorted(loc)} has weight {weight}, "
+                f"expected 2^l - 1 = {params.min_distance - 1}"
+            )
+    return f"{len(bits)} locations"
 
 
 def verify_decode_agreement(params: CodeParams, codeword_sample: int = 32,
@@ -157,7 +136,7 @@ def verify_decode_agreement(params: CodeParams, codeword_sample: int = 32,
     if params.t < 1:
         raise ValueError("sweep needs a code with t >= 1")
     words = sample_codewords(params, codeword_sample, seed)
-    errors = error_words(params.n, params.t)
+    errors = [Word(params.n, e) for e in subset_bits(params.n, range(params.t + 1))]
     for c in words:
         for e in errors:
             v = c + e

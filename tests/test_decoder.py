@@ -25,9 +25,9 @@ from rmgb.rmcode import (
     groebner_basis,
     poly_to_word,
     random_message,
-    subset_monomial,
     word_to_poly,
 )
+from tuple_toolkit import subset_monomial
 
 P32 = CodeParams(3, 2)
 
@@ -221,6 +221,32 @@ def test_ml_bruteforce_tie():
     res = ml_decode_bruteforce(Word.from_string("11000000"), P32)
     assert res.distance == 2
     assert res.is_tie
+
+
+def ml_decode_by_words(v, params):
+    """Reference ML scan: XOR every enumerated codeword Word with v, keep the first minimum."""
+    best = best_dist = None
+    tie = False
+    for c in codewords(params):
+        dist = (c + v).weight()
+        if best_dist is None or dist < best_dist:
+            best, best_dist, tie = c, dist, False
+        elif dist == best_dist:
+            tie = True
+    return best, best_dist, tie
+
+
+def test_ml_bruteforce_matches_word_scan():
+    rng = random.Random(44)
+    cases = [(CodeParams(m, l), range(1 << (1 << m))) for m in range(1, 4) for l in range(m + 1)]
+    cases += [(CodeParams(4, l), [rng.getrandbits(16) for _ in range(10)]) for l in range(5)]
+    for params, values in cases:
+        for value in values:
+            v = Word(params.n, value)
+            res = ml_decode_bruteforce(v, params)
+            assert (res.codeword, res.distance, res.is_tie) == ml_decode_by_words(v, params), (params, value)
+    with pytest.raises(ValueError, match="codeword enumeration is limited to m <= 4"):
+        ml_decode_bruteforce(Word(32, 0), CodeParams(5, 2))
 
 
 def test_random_error_fixed_weight():

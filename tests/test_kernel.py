@@ -6,6 +6,7 @@ sets to multivariate division by G(m, l).  The int message core
 entry points, and ``DecodeResult.error`` to its ``error_bits``.
 """
 
+import itertools
 import random
 import re
 
@@ -27,21 +28,23 @@ from rmgb.polyring import GRLEX, Poly, parse_poly
 from rmgb.rmcode import (
     CodeParams,
     Word,
+    bit_subset,
     encode,
     encode_bits,
     groebner_basis,
+    message_from_mask,
     message_monomials,
     monomial_positions,
-    monomial_subset,
     poly_to_word,
     random_message,
     random_message_bits,
     subset_bit,
-    subset_monomial,
+    subset_bits,
     subset_xor,
     superset_xor,
     word_to_poly,
 )
+from tuple_toolkit import monomial_subset, subset_monomial
 
 
 def encode_by_evaluation(message, params):
@@ -106,7 +109,34 @@ def test_subset_bit_matches_word_positions():
         subset_bit(3, {4})
 
 
-@pytest.mark.parametrize("l", [0, 1, 4, 16])
+def test_bit_subset_inverts_subset_bit():
+    for m in range(1, 7):
+        for b in range(1 << m):
+            location = bit_subset(m, b)
+            assert subset_bit(m, location) == b
+            assert bit_subset(m, subset_bit(m, location)) == location
+        for bad in (0, m + 1):
+            with pytest.raises(ValueError, match=f"^index {bad} out of range 1..{m}$"):
+                subset_bit(m, {1, bad})
+    rng = random.Random(16)
+    for _ in range(200):
+        location = frozenset(i for i in range(1, 17) if rng.random() < 0.5)
+        assert bit_subset(16, subset_bit(16, location)) == location
+        assert subset_bit(16, location) == subset_bit(16, sorted(location))  # any iterable
+
+
+def test_subset_bits_follow_combinations_order():
+    for m in range(1, 7):
+        for sizes in [range(m, -1, -1), range(0, m + 1), (m // 2,), ()]:
+            want = [
+                subset_bit(m, combo)
+                for k in sizes
+                for combo in itertools.combinations(range(1, m + 1), k)
+            ]
+            assert list(subset_bits(m, sizes)) == want, (m, sizes)
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3, 4, 16])
 def test_m16_edge(l):
     params = CodeParams(16, l)
     c = encode(random_message(params, random.Random(l)), params)
@@ -119,6 +149,10 @@ def test_m16_edge(l):
         assert result.status == CORRECTED_LOW
         assert result.codeword == c
         assert result.error == Poly.monomial(16, subset_monomial(16, location))
+    if l in (2, 3):
+        location = [2, 9, 16][:l]  # one location of size l, spread over the variables
+        proper = {frozenset(sub) for k in range(l) for sub in itertools.combinations(location, k)}
+        assert hat_set(location, params).hat == proper
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -173,6 +207,45 @@ def test_bad_messages_rejected_with_the_same_text(m, l):
         encode_bits(poly_to_word(top).value, params)
     with raises_exactly(f"message has {m} variables, code expects {m - 1}"):
         encode(Poly.one(m), CodeParams(m - 1, 0))
+
+
+@pytest.mark.parametrize("m,l", [(3, 2), (16, 2)])
+def test_encode_bits_rejects_ints_outside_the_word(m, l):
+    params = CodeParams(m, l)
+    text = f"message bits out of range for {params.n}-bit words"
+    # 2^n first: without the range check it fails fast, while a set-bit walk on -1 never ends
+    for bits in (1 << params.n, -1, -(1 << params.n)):
+        with raises_exactly(text):
+            encode_bits(bits, params)
+    assert encode_bits(1, params) == Word(params.n, (1 << params.n) - 1)  # the constant 1
+
+
+def test_encode_bits_degree_error_reads_the_largest_popcount():
+    rng = random.Random(8)
+    for m in range(1, 7):
+        for l in range(1, m + 1):
+            params = CodeParams(m, l)
+            for _ in range(10):
+                bits = rng.getrandbits(params.n)
+                degree = word_to_poly(Word(params.n, bits)).total_degree()  # the old route
+                if degree <= params.nu:
+                    assert encode_bits(bits, params) == encode(word_to_poly(Word(params.n, bits)), params)
+                    continue
+                with raises_exactly(f"message degree {degree} exceeds code order {params.nu}"):
+                    encode_bits(bits, params)
+
+
+@pytest.mark.parametrize("m,l", [(1, 0), (3, 1), (4, 2), (6, 3), (16, 14)])
+def test_message_from_mask_selects_message_monomials(m, l):
+    params = CodeParams(m, l)
+    monos = message_monomials(params)
+    rng = random.Random(m + l)
+    for mask in [0, 1, (1 << len(monos)) - 1] + [rng.getrandbits(len(monos)) for _ in range(5)]:
+        chosen = frozenset(mono for i, mono in enumerate(monos) if mask >> i & 1)
+        assert message_from_mask(params, mask) == poly_to_word(Poly._make(m, chosen)).value
+    for mask in (-1, 1 << len(monos)):
+        with raises_exactly(f"message mask out of range for {len(monos)} message monomials"):
+            message_from_mask(params, mask)
 
 
 def test_decode_result_error_is_built_from_its_bits(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -15,14 +16,15 @@ from rmgb.rmcode import (
     jennings_basis,
     message_monomials,
     min_weight_bruteforce,
+    bit_subset,
+    codeword_values,
     monomial_positions,
-    monomial_subset,
     poly_to_word,
     product_generator,
     random_message,
     rank,
     square_relations,
-    subset_monomial,
+    subset_bit,
     word_to_poly,
 )
 
@@ -114,13 +116,14 @@ def test_monomial_positions_descending_lex():
 
 
 def test_subset_monomial_roundtrip():
-    assert subset_monomial(4, {2, 4}) == (0, 1, 0, 1)
-    assert monomial_subset((0, 1, 0, 1)) == frozenset({2, 4})
-    assert subset_monomial(3, set()) == (0, 0, 0)
+    # the tuple helpers left the library; the bit map keeps their property
+    assert subset_bit(4, {2, 4}) == 0b0101
+    assert bit_subset(4, 0b0101) == frozenset({2, 4})
+    assert subset_bit(3, set()) == 0 and bit_subset(3, 0) == frozenset()
     with pytest.raises(ValueError):
-        subset_monomial(3, {4})
+        subset_bit(3, {4})
     with pytest.raises(ValueError):
-        monomial_subset((2, 0))
+        subset_bit(3, {0})
 
 
 def test_product_generator_expansion():
@@ -129,6 +132,18 @@ def test_product_generator_expansion():
     full = product_generator(3, {1, 2, 3})
     assert len(full) == 8  # one term per subset
     assert full.leading(GRLEX) == (1, 1, 1)
+    with pytest.raises(ValueError, match="^index 4 out of range 1..3$"):
+        product_generator(3, {1, 4})
+
+
+def test_product_generator_is_the_product_of_linear_factors():
+    for m in range(1, 6):
+        for k in range(m + 1):
+            for subset in itertools.combinations(range(1, m + 1), k):
+                want = Poly.one(m)
+                for i in subset:
+                    want = want * (Poly.variable(m, i) + Poly.one(m))
+                assert product_generator(m, subset) == want, (m, subset)
 
 
 def test_groebner_basis_listing_order():
@@ -239,6 +254,26 @@ def test_codewords_enumeration():
     assert len(set(words)) == 16
     with pytest.raises(ValueError):
         next(codewords(CodeParams(5, 2)))
+
+
+def codewords_by_mask(params):
+    """Reference enumeration: codeword mask XORs the encoded message monomials i set in mask."""
+    rows = [encode(Poly.monomial(params.m, mono), params).value for mono in message_monomials(params)]
+    for mask in range(1 << len(rows)):
+        acc = 0
+        for i, row in enumerate(rows):
+            if (mask >> i) & 1:
+                acc ^= row
+        yield Word(params.n, acc)
+
+
+def test_codeword_values_follow_mask_order():
+    for m in range(1, 5):
+        for l in range(m + 1):
+            params = CodeParams(m, l)
+            want = list(codewords_by_mask(params))
+            assert list(codewords(params)) == want, (m, l)
+            assert codeword_values(params) == tuple(w.value for w in want)
 
 
 def test_message_monomials():

@@ -5,6 +5,11 @@ These are the tuple implementations of ``divide``, ``s_polynomial``,
 ``reduce_basis`` that ``rmgb`` ran before it packed monomials into ints,
 kept unchanged apart from the imports.  ``tests/test_packed_toolkit.py``
 pins the library's results equal to theirs.
+
+``subset_monomial`` and ``monomial_subset`` are the exponent-tuple form of
+the subset map that ``rmgb.rmcode`` keeps on ``Word.value`` bits
+(``subset_bit``, ``bit_subset``); the kernel and decoder tests read
+subsets through them as an independent reference.
 """
 
 from __future__ import annotations
@@ -27,6 +32,22 @@ def mono_lcm(a, b):
     if len(a) != len(b):
         raise ValueError("cannot compare monomials in different variable counts")
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def subset_monomial(m: int, subset) -> tuple:
+    """Exponent tuple of X_I for a subset I of {1, ..., m}."""
+    subset = frozenset(subset)
+    for i in subset:
+        if not 1 <= i <= m:
+            raise ValueError(f"index {i} out of range 1..{m}")
+    return tuple(1 if i + 1 in subset else 0 for i in range(m))
+
+
+def monomial_subset(mono) -> frozenset:
+    """Subset I with X_I equal to the given square-free monomial."""
+    if any(e not in (0, 1) for e in mono):
+        raise ValueError(f"monomial {mono} is not square-free")
+    return frozenset(i + 1 for i, e in enumerate(mono) if e)
 
 
 def divide(f: Poly, divisors, order: str = DEFAULT_ORDER) -> DivisionResult:
