@@ -13,7 +13,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from . import selfcheck
 from .decoder import FAILURE, decode, random_error
@@ -121,20 +120,6 @@ def cmd_groebner_check(args) -> int:
     return _print_basis_report(check_basis(basis, args.order), args.order)
 
 
-@dataclass(frozen=True)
-class SimReport:
-    m: int
-    l: int
-    t: int
-    trials: int
-    mode: str
-    seed: int
-    decoded_ok: int
-    failures: int
-    miscorrections: int
-    elapsed_s: float
-
-
 def _parse_mode(text: str):
     kind, sep, value = text.partition(":")
     if not sep:
@@ -171,19 +156,19 @@ def cmd_simulate(args) -> int:
                 miscorrections += 1
             writer.writerow((trial, error.weight(), result.status, "true" if correct else "false"))
         elapsed = time.perf_counter() - start
-    report = SimReport(
-        m=params.m,
-        l=params.l,
-        t=params.t,
-        trials=args.trials,
-        mode=args.mode,
-        seed=args.seed,
-        decoded_ok=decoded_ok,
-        failures=failures,
-        miscorrections=miscorrections,
-        elapsed_s=round(elapsed, 6),
-    )
-    print(json.dumps(report.__dict__))
+    report = {
+        "m": params.m,
+        "l": params.l,
+        "t": params.t,
+        "trials": args.trials,
+        "mode": args.mode,
+        "seed": args.seed,
+        "decoded_ok": decoded_ok,
+        "failures": failures,
+        "miscorrections": miscorrections,
+        "elapsed_s": round(elapsed, 6),
+    }
+    print(json.dumps(report))
     return EXIT_OK
 
 

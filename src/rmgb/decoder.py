@@ -29,11 +29,19 @@ it may try every set of up to t of the candidates.
 For l = 2 (t = 1) the one location is read off the syndrome: the
 degree-one part of its y-basis coefficients names the variables of X_I.
 For l >= 3 Reed's majority-logic decoder (Reed 1954; MacWilliams and
-Sloane, ch. 13) finds the nearest codeword on ``Word.value``, and the
-result is accepted when it lies within distance t.  For l <= 1, t = 0
-and every nonzero syndrome is a failure.  For errors of weight at most
-t the recovered codeword is exact.  A ``DecodeResult`` holds the error
-as bits, and builds its ``error`` polynomial only when that is first read.
+Sloane, ch. 13) finds the nearest codeword on ``Word.value``.  For
+l <= 1, t = 0 and every nonzero syndrome is a failure.
+
+Both decoders only find the error bits, or None, and one rule reads the
+result off them.  No error, or one heavier than t, is a failure; a zero
+error leaves the word clean.  Otherwise the codeword is the word plus
+the error, and by the dichotomy the status is ``corrected_omega`` when
+some location has |I| >= l, with those locations as the chosen set S,
+and ``corrected_low`` when none has.  So status and locations agree
+between the decoders by construction; only the error search differs.
+For errors of weight at most t the recovered codeword is exact.  A
+``DecodeResult`` holds the error as bits, and builds its ``error``
+polynomial only when that is first read.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from .rmcode import (
     CodeParams,
     Word,
     _half_masks,
+    _low_degree_mask,
     bit_subset,
     codeword_values,
     poly_to_word,  # unused here; kept bound because bench/tracer.py wraps it by name
@@ -122,29 +131,38 @@ class DecodeResult:
 def decode(v: Word, params: CodeParams) -> DecodeResult:
     """Correct up to t errors in the received word, in time polynomial in n.
 
-    Returns exactly what ``decode_search`` returns.  Clean words come
-    back unchanged, and a syndrome of weight at most t is the error
-    itself.  Past that, the one location read off the syndrome (l = 2)
-    or Reed's decoding (l >= 3) is accepted when it lies within
-    distance t.  Otherwise status is ``failure`` and codeword and error
-    are None.
+    Returns exactly what ``decode_search`` returns.  A syndrome of weight
+    at most t is the error itself.  Past that, the one location read off
+    the syndrome (l = 2) or Reed's decoding (l >= 3) is the error, and
+    ``_result`` accepts it when it lies within distance t.
     """
-    syn = syndrome(v, params)
-    if not syn.weight:
+    error = syndrome(v, params).word.value
+    if error.bit_count() > params.t:
+        if params.l == 2:
+            error = _single_location(error, params.m)
+        elif params.l >= 3:
+            error = _reed_error(v.value, params)
+        # for l <= 1, t = 0: the nonzero syndrome stays the error and fails as too heavy
+    return _result(v, error, params)
+
+
+def _result(v: Word, error: Optional[int], params: CodeParams) -> DecodeResult:
+    """The one exit of both decoders: v less ``error``, by the module's rule.
+
+    The chosen locations come in ``_candidate_locations`` order, which is
+    ``rmcode.subset_bits``': by size descending, then descending bit
+    within one size.
+    """
+    if error == 0:
         return DecodeResult(CLEAN, v, 0)
-    t = params.t
-    if syn.weight <= t:
-        return DecodeResult(CORRECTED_LOW, v + syn.word, syn.word.value)
-    if params.l == 2:
-        error = _single_location(syn.word.value, params.m)
-    elif params.l >= 3:
-        error = _reed_error(v.value, params)
-    else:  # t = 0: every nonzero syndrome is beyond the radius
-        error = None
-    if error is None or error.bit_count() > t:
+    if error is None or error.bit_count() > params.t:
         return DecodeResult(FAILURE, None, None)
     codeword = Word(v.n, v.value ^ error)
-    return DecodeResult(CORRECTED_OMEGA, codeword, error, _high_locations(error, params))
+    high = error & ~_low_degree_mask(params.m, params.l)
+    if not high:
+        return DecodeResult(CORRECTED_LOW, codeword, error)
+    bits = sorted(set_bits(high), key=int.bit_count, reverse=True)  # stable: highest first within a size
+    return DecodeResult(CORRECTED_OMEGA, codeword, error, tuple([bit_subset(params.m, b) for b in bits]))
 
 
 def _single_location(syndrome_bits: int, m: int) -> Optional[int]:
@@ -203,28 +221,11 @@ def _reed_error(value: int, params: CodeParams) -> int:
     return residual
 
 
-def _high_locations(error: int, params: CodeParams) -> tuple:
-    """The error's locations with |I| >= l, in ``_candidate_locations`` order.
-
-    That order is ``rmcode.subset_bits``': by size descending, then
-    descending bit within one size.  The bits are collected highest
-    first, and the sort is stable.
-    """
-    bits = []
-    while error:
-        b = error.bit_length() - 1
-        error ^= 1 << b
-        if b.bit_count() >= params.l:
-            bits.append(b)
-    bits.sort(key=int.bit_count, reverse=True)
-    return tuple([bit_subset(params.m, b) for b in bits])
-
-
 @lru_cache(maxsize=None)
 def _candidate_locations(params: CodeParams):
-    # (I, bit of X_I, remainder bits of X_I) for |I| >= l, in descending X_I order
+    # (bit of X_I, remainder bits of X_I) for |I| >= l, in descending X_I order
     return tuple(
-        (bit_subset(params.m, b), 1 << b, remainder_bits(1 << b, params))
+        (1 << b, remainder_bits(1 << b, params))
         for b in subset_bits(params.m, range(params.m, params.l - 1, -1))
     )
 
@@ -232,38 +233,33 @@ def _candidate_locations(params: CodeParams):
 def decode_search(v: Word, params: CodeParams) -> DecodeResult:
     """Correct up to t errors in the received word.
 
-    Clean words come back unchanged.  A syndrome of weight at most t is
-    itself the error polynomial (all locations below degree l).  A
-    heavier syndrome triggers the search over candidate sets S of
-    locations with |I| >= l, increasing |S| from 1 to t; the first S
-    whose shifted syndrome has weight at most t - |S| is accepted, and
-    the shifted syndrome contributes the remaining low-degree locations.
-    Every emitted codeword is re-checked to have zero syndrome.  If no
-    candidate set qualifies, status is ``failure`` and codeword and
-    error are None.
+    A syndrome of weight at most t is itself the error polynomial (all
+    locations below degree l).  A heavier syndrome triggers the search
+    over candidate sets S of locations with |I| >= l, increasing |S|
+    from 1 to t; the first S whose shifted syndrome has weight at most
+    t - |S| is accepted, and the shifted syndrome contributes the
+    remaining low-degree locations.  Every emitted codeword is re-checked
+    to have zero syndrome.  If no candidate set qualifies, the error is
+    None; ``_result`` builds the result either way.
     """
-    syn = syndrome(v, params)
-    if not syn.weight:
-        return DecodeResult(CLEAN, v, 0)
+    rem = syndrome(v, params).word.value
     t = params.t
-    if syn.weight <= t:
-        return DecodeResult(CORRECTED_LOW, v + syn.word, syn.word.value)
-    rem = syn.word.value
+    if rem.bit_count() <= t:
+        return _result(v, rem, params)
     candidates = _candidate_locations(params)
     for size in range(1, t + 1):
         for chosen in itertools.combinations(candidates, size):
             shifted = rem
-            for _, _, loc_rem in chosen:
+            for _, loc_rem in chosen:
                 shifted ^= loc_rem
             if shifted.bit_count() > t - size:
                 continue
             error = shifted
-            for _, bit, _ in chosen:
+            for bit, _ in chosen:
                 error ^= bit
-            cw = Word(v.n, v.value ^ error)
-            if syndrome(cw, params).weight == 0:
-                return DecodeResult(CORRECTED_OMEGA, cw, error, tuple(c[0] for c in chosen))
-    return DecodeResult(FAILURE, None, None)
+            if syndrome(Word(v.n, v.value ^ error), params).weight == 0:
+                return _result(v, error, params)
+    return _result(v, None, params)
 
 
 @dataclass(frozen=True)

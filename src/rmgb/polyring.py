@@ -41,7 +41,7 @@ fits its field.  With that invariant:
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
@@ -185,12 +185,6 @@ class Poly:
     def is_squarefree(self) -> bool:
         return all(e <= 1 for mono in self.support for e in mono)
 
-    def sorted_monomials(self, order: str = DEFAULT_ORDER, reverse: bool = True) -> list:
-        return sorted(self.support, key=monomial_key(order), reverse=reverse)
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.sorted_monomials())
-
     def __str__(self) -> str:
         return format_poly(self)
 
@@ -305,7 +299,7 @@ def format_poly(f: Poly, order: str = DEFAULT_ORDER, var: str = "x") -> str:
     if not f:
         return "0"
     terms = []
-    for mono in f.sorted_monomials(order):
+    for mono in sorted(f.support, key=monomial_key(order), reverse=True):
         factors = []
         for i, e in enumerate(mono):
             if e == 1:

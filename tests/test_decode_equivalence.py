@@ -2,8 +2,11 @@
 
 Both must return the same status, codeword, error and chosen locations
 on every received word: exhaustively for m <= 4, and on seeded samples
-for m = 5 and 6.  Beyond m = 6 the search is too slow to compare with,
-so the (12, 5) edge test checks ``decode`` against the known error.
+for m = 5 and 6.  Each result's status and chosen locations are also
+worked out here from its error bits alone, since both decoders share
+the rule that reads them off.  Beyond m = 6 the search is too slow to
+compare with, so the (12, 5) edge test checks ``decode`` against the
+known error.
 """
 
 import random
@@ -11,7 +14,7 @@ import time
 
 import pytest
 
-from rmgb.decoder import CORRECTED_OMEGA, FAILURE, decode, decode_search
+from rmgb.decoder import CLEAN, CORRECTED_LOW, CORRECTED_OMEGA, FAILURE, decode, decode_search
 from rmgb.polyring import Poly
 from rmgb.rmcode import CodeParams, Word, encode, monomial_positions, random_message
 
@@ -19,12 +22,42 @@ SMALL = [(m, l) for m in range(1, 5) for l in range(m + 1)]
 SAMPLED = [(m, l) for m in (5, 6) for l in range(m + 1)]
 
 
+def expected_reading(error_bits, params):
+    """(status, chosen locations) that a result with these error bits must carry.
+
+    A set bit b is the location of the monomial at word position n - 1 - b;
+    the locations of degree >= l come by size descending, then in
+    ``combinations`` order within a size.
+    """
+    if error_bits is None:
+        return FAILURE, None
+    if not error_bits:
+        return CLEAN, None
+    monos = monomial_positions(params.m)
+    locations = [
+        tuple(i + 1 for i, e in enumerate(monos[params.n - 1 - b]) if e)
+        for b in range(params.n)
+        if error_bits >> b & 1
+    ]
+    high = sorted((loc for loc in locations if len(loc) >= params.l), key=lambda loc: (-len(loc), loc))
+    if not high:
+        return CORRECTED_LOW, None
+    return CORRECTED_OMEGA, tuple(frozenset(loc) for loc in high)
+
+
+def assert_reading(result, params):
+    assert (result.status, result.chosen_locations) == expected_reading(result.error_bits, params)
+
+
 @pytest.mark.parametrize("m,l", SMALL)
 def test_decode_matches_search_on_every_word(m, l):
     params = CodeParams(m, l)
     for value in range(1 << params.n):
         v = Word(params.n, value)
-        assert decode(v, params) == decode_search(v, params)
+        result, reference = decode(v, params), decode_search(v, params)
+        assert result == reference
+        assert_reading(result, params)
+        assert_reading(reference, params)
 
 
 @pytest.mark.parametrize("m,l", SAMPLED)
@@ -41,7 +74,10 @@ def test_decode_matches_search_on_sampled_words(m, l):
             c = encode(random_message(params, rng), params)
             weight = rng.randint(0, min(params.t + 2, params.n))
             v = Word(params.n, c.value ^ sum(1 << b for b in rng.sample(range(params.n), weight)))
-        assert decode(v, params) == decode_search(v, params)
+        result, reference = decode(v, params), decode_search(v, params)
+        assert result == reference
+        assert_reading(result, params)
+        assert_reading(reference, params)
 
 
 def test_decode_m12_l5_edge():
