@@ -6,7 +6,9 @@ the monomial order), keeps each basis element as a packed
 ``(lead, tail)`` pair, reduces with ``division.packed_remainder`` and
 unpacks only the polynomials it returns.  Buchberger completion keeps
 its packed basis for the whole run, so it calls neither
-``s_polynomial`` nor ``division.divide`` per pair.
+``s_polynomial`` nor ``division.divide`` per pair; it skips the pairs
+that the Gebauer-Moeller criteria (J. Symbolic Comput. 6, 1988) show
+must reduce to zero.  ``check_basis`` forms every pair.
 """
 
 from __future__ import annotations
@@ -129,26 +131,52 @@ def ideal_member(f: Poly, basis, order: str = DEFAULT_ORDER) -> bool:
 def buchberger_complete(generators, order: str = DEFAULT_ORDER, max_additions: int = 10000):
     """Complete a generating set to a Groebner basis (Buchberger's algorithm).
 
-    Pairs are processed first-in first-out; every nonzero S-remainder is
-    appended to the basis and paired against all earlier elements.  The
-    output contains the input generators.  Raises RuntimeError if more
-    than ``max_additions`` elements get added, as a divergence guard.
+    Returns the deduplicated nonzero generators in input order, then each
+    nonzero S-remainder in the order it was added: a Groebner basis that
+    contains the generators.  Raises RuntimeError if more than
+    ``max_additions`` elements get added, as a divergence guard.
+
+    Pairs wait in a first-in first-out queue.  Each element ``h``,
+    generators included, enters by the Gebauer-Moeller update.  It pairs
+    with each ``g`` of the *active set*, the elements whose lead no later
+    lead divides.  A new pair is dropped when another's lcm divides its
+    lcm (of equal lcms the last stays), unless lm(g) and lm(h) are
+    coprime; then the coprime ones go too (product criterion).  A queued
+    pair ``(i, j)`` is dropped when lm(h) divides its lcm and that lcm
+    differs from lcm(i, h) and lcm(j, h) (chain criterion).  Then ``h``
+    joins the active set and evicts each element whose lead lm(h)
+    divides.  S-polynomials reduce against the active set only.
     """
-    basis = []
-    for g in generators:
-        if g and g not in basis:
-            basis.append(g)
+    basis = list(dict.fromkeys(g for g in generators if g))
     if not basis:
         raise ValueError("need at least one nonzero generator")
     packing, packed = _pack(basis, order)
-    pairs = deque(combinations(range(len(basis)), 2))
+    guard, lcm = packing.guard, packing.lcm
+    active, pairs = [], deque()  # pairs hold (lcm, i, j)
+
+    def update(h):
+        """Enter element ``h``; return the new active set's packed elements."""
+        nonlocal pairs
+        hl = packed[h][0]
+        new = [(lcm(packed[g][0], hl), g) for g in active]
+        kept = []  # coprime pairs stay in here, to prune the others
+        for k, (lc, g) in enumerate(new):
+            bound = lc | guard
+            if lc == packed[g][0] + hl or not any(
+                    (bound - other) & guard == guard for other, _ in (*new[k + 1:], *kept)):
+                kept.append((lc, g))
+        pairs = deque((lc, i, j) for lc, i, j in pairs if ((lc | guard) - hl) & guard != guard
+                      or lc == lcm(packed[i][0], hl) or lc == lcm(packed[j][0], hl))
+        pairs.extend((lc, g, h) for lc, g in kept if lc != packed[g][0] + hl)
+        active[:] = [g for g in active if ((packed[g][0] | guard) - hl) & guard != guard] + [h]
+        return [packed[g] for g in active]
+
+    for h in range(len(basis)):
+        divisors = update(h)
     additions = 0
     while pairs:
-        i, j = pairs.popleft()
-        s = _packed_s(packed[i], packed[j], packing)
-        if not s:
-            continue
-        r = packed_remainder(s, packed, packing)
+        _, i, j = pairs.popleft()
+        r = packed_remainder(_packed_s(packed[i], packed[j], packing), divisors, packing)
         if not r:
             continue
         basis.append(packing.poly(r))
@@ -156,8 +184,7 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER, max_additions: i
         additions += 1
         if additions > max_additions:
             raise RuntimeError(f"Buchberger completion exceeded {max_additions} additions")
-        new = len(basis) - 1
-        pairs.extend((k, new) for k in range(new))
+        divisors = update(len(basis) - 1)
     return tuple(basis)
 
 

@@ -139,8 +139,25 @@ def test_completion_divergence_guard():
         )
 
 
+def test_completion_keeps_one_of_equal_lcm_pairs():
+    # h pairs with x1^2 + 1 and with x3^2 + 1 at the same lcm x1^2*x3^2; the
+    # update drops one of the two pairs and must keep the other
+    gens = list(square_relations(3)) + [parse_poly("x1^2*x3^2 + x1*x3 + x2^2 + x3", 3)]
+    for order in (GRLEX, LEX):
+        assert check_basis(buchberger_complete(gens, order), order).is_groebner
+
+
 def test_completion_product_above_exponent_cap_raises():
-    # the S-polynomial multiplies x1^4 + x2 by x2^4, which needs x2^5
-    gens = [parse_poly("x1^4 + x2", 2), parse_poly("x2^4 + x1", 2)]
-    with pytest.raises(ValueError, match=re.escape("product (0, 5) exceeds cap 4")):
+    # the leads x1^4*x2 and x1*x2^4 share variables, so the pair is formed;
+    # its S-polynomial multiplies the tail x2^4 by x2^3, which needs x2^7
+    gens = [parse_poly("x1^4*x2 + x2^4", 2), parse_poly("x1*x2^4 + x1", 2)]
+    with pytest.raises(ValueError, match=re.escape("product (0, 7) exceeds cap 4")):
         buchberger_complete(gens)
+
+
+def test_completion_skips_pair_with_coprime_leads():
+    # the leads x1^4 and x2^4 are coprime, so the S-polynomial reduces to zero
+    # (product criterion): it is never formed, and its x2^5 never overflows.
+    # check_basis forms every pair, so it would raise on this basis.
+    gens = (parse_poly("x1^4 + x2", 2), parse_poly("x2^4 + x1", 2))
+    assert buchberger_complete(gens) == gens

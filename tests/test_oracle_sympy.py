@@ -2,12 +2,13 @@
 
 import random
 
+import pytest
 import sympy as sp
 
 from rmgb.division import remainder
 from rmgb.groebner import buchberger_complete, reduce_basis
 from rmgb.polyring import GRLEX, LEX, Poly
-from rmgb.rmcode import CodeParams, groebner_basis
+from rmgb.rmcode import CodeParams, groebner_basis, monomial_positions, square_relations
 
 ORDER_NAMES = {GRLEX: "grlex", LEX: "lex"}
 
@@ -92,5 +93,22 @@ def test_buchberger_pipeline_matches_sympy_random():
         gens = gens_for(m)
         gb = sp.groebner(
             [to_expr(g, gens) for g in generators], *gens, modulus=2, order="grlex"
+        )
+        assert mine == {from_expr(e, m, gens) for e in gb.exprs}
+
+
+@pytest.mark.parametrize("order", [GRLEX, LEX])
+@pytest.mark.parametrize("m", [4, 5])
+def test_buchberger_pipeline_matches_sympy_on_ideals_of_a(m, order):
+    # the ideals the groebner-m5 benchmark completes: the square relations
+    # plus two random 4-term square-free generators
+    rng = random.Random(f"ideals/{m}/{order}")
+    squarefree = monomial_positions(m)
+    gens = gens_for(m)
+    for _ in range(10):
+        generators = list(square_relations(m)) + [Poly(m, rng.sample(squarefree, 4)) for _ in range(2)]
+        mine = set(reduce_basis(buchberger_complete(generators, order), order))
+        gb = sp.groebner(
+            [to_expr(g, gens) for g in generators], *gens, modulus=2, order=ORDER_NAMES[order]
         )
         assert mine == {from_expr(e, m, gens) for e in gb.exprs}
