@@ -17,11 +17,11 @@ divisors form a Groebner basis.
 
 ``divide`` packs ``f`` and the divisors into ints (see
 ``polyring.MonomialPacking``), runs ``packed_remainder`` and unpacks the
-quotients and remainder.  ``packed_remainder`` keeps the working
-polynomial as a set of packed monomials and takes each leading monomial
-from a max-heap with lazy deletion: every monomial that enters the set
-is pushed, a popped one that has since cancelled out of the set is
-skipped, and so the first popped one still in the set is its largest.
+remainder; the quotients stay packed until read.  ``packed_remainder``
+keeps the working polynomial as a set of packed monomials and takes each
+leading monomial from a max-heap with lazy deletion: every monomial that
+enters the set is pushed, a popped one that has since cancelled out is
+skipped, so the first popped one still in the set is its largest.
 """
 
 from __future__ import annotations
@@ -32,10 +32,23 @@ from heapq import heapify, heappop, heappush
 from .polyring import DEFAULT_ORDER, MonomialPacking, Poly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DivisionResult:
+    """Quotients and remainder; ``divide``'s quotients unpack when first read."""
+
     quotients: tuple
     remainder: Poly
+
+    def __init__(self, quotients, remainder: Poly, packing: MonomialPacking | None = None):
+        object.__setattr__(self, "quotients" if packing is None else "_packed", quotients)
+        object.__setattr__(self, "remainder", remainder)
+        object.__setattr__(self, "_packing", packing)
+
+    def __getattr__(self, name):  # reached only for unset names: ``quotients`` while packed
+        if name != "quotients":
+            raise AttributeError(name)
+        object.__setattr__(self, name, tuple(map(self._packing.poly, self._packed)))
+        return self.quotients
 
     def reconstruct(self, divisors) -> Poly:
         """Recompute ``sum(quotient * divisor) + remainder``."""
@@ -103,10 +116,7 @@ def divide(f: Poly, divisors, order: str = DEFAULT_ORDER) -> DivisionResult:
     rem = packed_remainder(
         set(map(packing.pack, f.support)), [packing.split(d) for d in divisors], packing, quotients
     )
-    return DivisionResult(
-        quotients=tuple(map(packing.poly, quotients)),
-        remainder=packing.poly(rem),
-    )
+    return DivisionResult(quotients, packing.poly(rem), packing)
 
 
 def remainder(f: Poly, divisors, order: str = DEFAULT_ORDER) -> Poly:

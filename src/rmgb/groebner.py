@@ -6,16 +6,14 @@ the monomial order), keeps each basis element as a packed
 ``(lead, tail)`` pair, reduces with ``division.packed_remainder`` and
 unpacks only the polynomials it returns.  Buchberger completion keeps
 its packed basis for the whole run, so it calls neither
-``s_polynomial`` nor ``division.divide`` per pair; it skips the pairs
-that the Gebauer-Moeller criteria (J. Symbolic Comput. 6, 1988) show
-must reduce to zero.  ``check_basis`` forms every pair.
+``s_polynomial`` nor ``division.divide`` per pair.  Completion and
+``check_basis`` share one pair rule, ``_update``: the Gebauer-Moeller
+criteria (J. Symbolic Comput. 6, 1988).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .division import packed_remainder, remainder
@@ -59,17 +57,42 @@ def _packed_s(a, b, packing: MonomialPacking) -> set:
 
 def _pack(polys, order: str):
     """A packing for ``polys`` and each one's ``(lead, tail)`` pair."""
+    polys = list(polys)
+    if not polys or any(not p for p in polys):
+        raise ValueError("basis must be a nonempty collection of nonzero polynomials")
     for p in polys:
         polys[0]._check_compatible(p)
     packing = MonomialPacking(polys[0].m, order)
     return packing, [packing.split(p) for p in polys]
 
 
-def _nonzero_polys(basis) -> list:
-    polys = list(basis)
-    if not polys or any(not p for p in polys):
-        raise ValueError("basis must be a nonempty collection of nonzero polynomials")
-    return polys
+def _update(packing: MonomialPacking, packed, active: list, pairs: list, h: int) -> list:
+    """Enter element ``h`` by the Gebauer-Moeller update; return the active elements.
+
+    ``active`` lists, ascending, the entered elements whose lead no later
+    lead divides, and ``pairs`` holds ``(lcm, i, j)``, i < j; both are
+    updated in place.  ``h`` pairs with each active ``g``.  A new pair is
+    dropped when another's lcm divides its lcm (of equal lcms the last
+    stays), unless lm(g) and lm(h) are coprime; then the coprime ones go
+    too (product criterion).  A queued pair ``(i, j)`` is dropped when
+    lm(h) divides its lcm and that lcm differs from lcm(i, h) and
+    lcm(j, h) (chain criterion).  Then ``h`` joins the active set and
+    evicts each element whose lead lm(h) divides.
+    """
+    guard, lcm = packing.guard, packing.lcm
+    hl = packed[h][0]
+    new = [(lcm(packed[g][0], hl), g) for g in active]
+    kept = []  # coprime pairs stay in here, to prune the others
+    for k, (lc, g) in enumerate(new):
+        bound = lc | guard
+        if lc == packed[g][0] + hl or not any(
+                (bound - other) & guard == guard for other, _ in (*new[k + 1:], *kept)):
+            kept.append((lc, g))
+    pairs[:] = [(lc, i, j) for lc, i, j in pairs if ((lc | guard) - hl) & guard != guard
+                or lc == lcm(packed[i][0], hl) or lc == lcm(packed[j][0], hl)]
+    pairs += [(lc, g, h) for lc, g in kept if lc != packed[g][0] + hl]
+    active[:] = [g for g in active if ((packed[g][0] | guard) - hl) & guard != guard] + [h]
+    return [packed[g] for g in active]
 
 
 @dataclass(frozen=True)
@@ -80,31 +103,39 @@ class BasisReport:
 
 
 def check_basis(basis, order: str = DEFAULT_ORDER) -> BasisReport:
-    """Test the Buchberger criterion on every pair, plus reducedness.
+    """Test the Buchberger criterion, plus reducedness.
 
-    A basis is Groebner exactly when every pairwise S-polynomial leaves
-    zero remainder on division by the whole basis.  The first violation
-    found (scanning pairs in index order) is reported.
+    Each element enters by ``_update``, as in completion, and only the
+    kept pairs are reduced, against the whole basis, in the order they
+    were formed (by j, then i).  The first pair ``(i, j)``, i < j, with
+    a nonzero S-remainder is reported with it.  This is exact: for each
+    dropped pair (i, j), the lead of some k divides lcm(i, j), and the
+    pairs of k with i and j have coprime leads or rank before (i, j) by
+    (lcm, j, i descending), so Buchberger's chain condition holds (Cox,
+    Little and O'Shea, ch. 2 §10, Theorem 6).  k is the entering element
+    for the chain criterion, g2 for a new pair (g, h) dropped for (g2, h).
+    When one lead divides another, (g, h) is never formed because some
+    e, g < e < h, with lm(e) | lm(g) evicted g; then k = e: (g, e) has
+    j = e < h, and lcm(e, h) divides lcm(g, h) with i = e > g.
     """
-    polys = _nonzero_polys(basis)
-    packing, packed = _pack(polys, order)
-    failing = None
-    for i, j in combinations(range(len(packed)), 2):
-        s = _packed_s(packed[i], packed[j], packing)
-        if s:
-            r = packed_remainder(s, packed, packing)
-            if r:
-                failing = (i, j, packing.poly(r))
-                break
-    return BasisReport(
-        is_groebner=failing is None,
-        is_reduced=is_reduced(polys, order),
-        failing_pair=failing,
-    )
+    packing, packed = _pack(basis, order)
+    failing = _failing_pair(packing, packed)
+    return BasisReport(failing is None, _is_reduced(packing, packed), failing)
+
+
+def _failing_pair(packing: MonomialPacking, packed) -> Optional[tuple]:
+    active, pairs = [], []
+    for h in range(len(packed)):
+        _update(packing, packed, active, pairs, h)
+    for _, i, j in pairs:
+        r = packed_remainder(_packed_s(packed[i], packed[j], packing), packed, packing)
+        if r:
+            return i, j, packing.poly(r)
+    return None
 
 
 def is_groebner(basis, order: str = DEFAULT_ORDER) -> bool:
-    return check_basis(basis, order).is_groebner
+    return _failing_pair(*_pack(basis, order)) is None
 
 
 def is_reduced(basis, order: str = DEFAULT_ORDER) -> bool:
@@ -113,7 +144,10 @@ def is_reduced(basis, order: str = DEFAULT_ORDER) -> bool:
     This is the usual reducedness condition for monic bases; over GF(2)
     every nonzero polynomial is monic.
     """
-    packing, packed = _pack(_nonzero_polys(basis), order)
+    return _is_reduced(*_pack(basis, order))
+
+
+def _is_reduced(packing: MonomialPacking, packed) -> bool:
     for i, (lead, tail) in enumerate(packed):
         for j, (other, _) in enumerate(packed):
             if i != j and any(packing.divides(other, mono) for mono in (lead, *tail)):
@@ -136,46 +170,19 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER, max_additions: i
     contains the generators.  Raises RuntimeError if more than
     ``max_additions`` elements get added, as a divergence guard.
 
-    Pairs wait in a first-in first-out queue.  Each element ``h``,
-    generators included, enters by the Gebauer-Moeller update.  It pairs
-    with each ``g`` of the *active set*, the elements whose lead no later
-    lead divides.  A new pair is dropped when another's lcm divides its
-    lcm (of equal lcms the last stays), unless lm(g) and lm(h) are
-    coprime; then the coprime ones go too (product criterion).  A queued
-    pair ``(i, j)`` is dropped when lm(h) divides its lcm and that lcm
-    differs from lcm(i, h) and lcm(j, h) (chain criterion).  Then ``h``
-    joins the active set and evicts each element whose lead lm(h)
-    divides.  S-polynomials reduce against the active set only.
+    Each element, generators included, enters by ``_update``.  Pairs are
+    reduced first in, first out, against the active set only.
     """
     basis = list(dict.fromkeys(g for g in generators if g))
     if not basis:
         raise ValueError("need at least one nonzero generator")
     packing, packed = _pack(basis, order)
-    guard, lcm = packing.guard, packing.lcm
-    active, pairs = [], deque()  # pairs hold (lcm, i, j)
-
-    def update(h):
-        """Enter element ``h``; return the new active set's packed elements."""
-        nonlocal pairs
-        hl = packed[h][0]
-        new = [(lcm(packed[g][0], hl), g) for g in active]
-        kept = []  # coprime pairs stay in here, to prune the others
-        for k, (lc, g) in enumerate(new):
-            bound = lc | guard
-            if lc == packed[g][0] + hl or not any(
-                    (bound - other) & guard == guard for other, _ in (*new[k + 1:], *kept)):
-                kept.append((lc, g))
-        pairs = deque((lc, i, j) for lc, i, j in pairs if ((lc | guard) - hl) & guard != guard
-                      or lc == lcm(packed[i][0], hl) or lc == lcm(packed[j][0], hl))
-        pairs.extend((lc, g, h) for lc, g in kept if lc != packed[g][0] + hl)
-        active[:] = [g for g in active if ((packed[g][0] | guard) - hl) & guard != guard] + [h]
-        return [packed[g] for g in active]
-
+    active, pairs = [], []
     for h in range(len(basis)):
-        divisors = update(h)
+        divisors = _update(packing, packed, active, pairs, h)
     additions = 0
     while pairs:
-        _, i, j = pairs.popleft()
+        _, i, j = pairs.pop(0)
         r = packed_remainder(_packed_s(packed[i], packed[j], packing), divisors, packing)
         if not r:
             continue
@@ -184,46 +191,27 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER, max_additions: i
         additions += 1
         if additions > max_additions:
             raise RuntimeError(f"Buchberger completion exceeded {max_additions} additions")
-        divisors = update(len(basis) - 1)
+        divisors = _update(packing, packed, active, pairs, len(basis) - 1)
     return tuple(basis)
 
 
 def reduce_basis(basis, order: str = DEFAULT_ORDER):
     """Reduce a Groebner basis to the unique reduced Groebner basis.
 
-    First drop elements whose leading monomial is divisible by another's
-    (minimalization), then replace each survivor by its remainder on
-    division by the others until nothing changes.  Output is sorted by
-    descending leading monomial.
+    Scan by ascending leading monomial: drop each element whose lead a
+    kept lead divides (minimalization), and keep the others as their
+    remainder on division by the kept ones before them.  No larger lead
+    divides a monomial of an element, so this one pass leaves each kept
+    element reduced.  Output is by descending leading monomial.
     """
-    polys = []
-    for p in basis:
-        if p and p not in polys:
-            polys.append(p)
+    polys = list(dict.fromkeys(p for p in basis if p))
     if not polys:
         raise ValueError("cannot reduce an empty basis")
     packing, packed = _pack(polys, order)
-
-    # minimalize: scan by ascending leading monomial so survivors are kept
     packed.sort(key=lambda pair: pair[0])
-    minimal = []
+    reduced = []
     for lead, tail in packed:
-        if not any(packing.divides(other, lead) for other, _ in minimal):
-            minimal.append((lead, tail))
-
-    # interreduce tails to a fixpoint; leading monomials are now pairwise
-    # non-divisible so remainders stay nonzero and keep their leads
-    changed = True
-    while changed:
-        changed = False
-        for i, (lead, tail) in enumerate(minimal):
-            others = minimal[:i] + minimal[i + 1:]
-            if not others:
-                continue
-            terms = {lead, *tail}
-            r = packed_remainder(set(terms), others, packing)
-            if set(r) != terms:
-                minimal[i] = (r[0], r[1:])
-                changed = True
-    minimal.sort(key=lambda pair: pair[0], reverse=True)
-    return tuple(packing.poly((lead, *tail)) for lead, tail in minimal)
+        if not any(packing.divides(other, lead) for other, _ in reduced):
+            r = packed_remainder({lead, *tail}, reduced, packing)
+            reduced.append((r[0], r[1:]))
+    return tuple(packing.poly((lead, *tail)) for lead, tail in reversed(reduced))

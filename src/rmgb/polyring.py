@@ -247,7 +247,9 @@ class MonomialPacking:
         take_a = a_wins * ((1 << FIELD_BITS) - 1)
         fields = (a & take_a | b & ~take_a) & self._fields
         if self.grlex:
-            degree = sum((fields & plane).bit_count() << k for k, plane in enumerate(self._planes))
+            degree = 0  # a loop, not sum() over a generator: lcm sits on the pair-update path
+            for k, plane in enumerate(self._planes):
+                degree += (fields & plane).bit_count() << k
             fields |= degree << FIELD_BITS * self.m
         return fields
 

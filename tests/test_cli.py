@@ -136,6 +136,15 @@ def test_groebner_check_union_file(capsys, tmp_path):
     assert code == 0 and out.splitlines()[0] == "GROEBNER: yes"
 
 
+def test_groebner_check_coprime_leads(capsys, tmp_path):
+    # a Groebner basis whose one pair has coprime leads; forming that pair
+    # would multiply past the exponent cap
+    path = tmp_path / "coprime.txt"
+    path.write_text("x1^4 + x2\nx2^4 + x1\n")
+    code, out, _ = run(capsys, "groebner-check", "-m", "2", str(path))
+    assert code == 0 and out.splitlines()[:2] == ["GROEBNER: yes", "REDUCED: yes"]
+
+
 def test_missing_basis_file(capsys, tmp_path):
     code, _, err = run(capsys, "groebner-check", "-m", "2", str(tmp_path / "nope.txt"))
     assert code == 2 and "error:" in err

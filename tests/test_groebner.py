@@ -157,7 +157,15 @@ def test_completion_product_above_exponent_cap_raises():
 
 def test_completion_skips_pair_with_coprime_leads():
     # the leads x1^4 and x2^4 are coprime, so the S-polynomial reduces to zero
-    # (product criterion): it is never formed, and its x2^5 never overflows.
-    # check_basis forms every pair, so it would raise on this basis.
+    # (product criterion): it is never formed, and its x2^5 never overflows
     gens = (parse_poly("x1^4 + x2", 2), parse_poly("x2^4 + x1", 2))
     assert buchberger_complete(gens) == gens
+
+
+def test_check_basis_skips_pair_with_coprime_leads():
+    # check_basis forms its pairs by the completion's rule, so it confirms
+    # the basis above instead of raising on the product x2^5
+    basis = [parse_poly("x1^4 + x2", 2), parse_poly("x2^4 + x1", 2)]
+    report = check_basis(basis)
+    assert report.is_groebner and report.is_reduced and report.failing_pair is None
+    assert is_groebner(basis)
