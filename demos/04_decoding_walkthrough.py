@@ -29,15 +29,14 @@ print("received v  =", v)
 print("as a polynomial:", format_poly(word_to_poly(v)))
 
 s = syndrome(v, params)
-print("syndrome    =", format_poly(s.remainder), f"(weight {s.weight})")
+print("syndrome    =", format_poly(word_to_poly(s)), f"(weight {s.weight()})")
 
 # Hat sets: the remainder of a single error monomial X_I, recorded as
 # the index subsets appearing in it.  Below the threshold the monomial
 # survives division untouched; at the threshold it smears out over all
 # proper subsets of I.
 for location in [frozenset({1}), frozenset({2, 3}), frozenset({1, 2, 3})]:
-    h = hat_set(location, params)
-    pretty = sorted(tuple(sorted(x)) for x in h.hat)
+    pretty = sorted(tuple(sorted(x)) for x in hat_set(location, params))
     print(f"hat set of X_{sorted(location)}: {pretty}")
 
 result = decode(v, params)

@@ -20,6 +20,7 @@ from .division import divide
 from .groebner import check_basis
 from .polyring import DEFAULT_ORDER, ORDERS, Poly, format_poly, parse_poly
 from .rmcode import (
+    ENUMERATION_LIMIT,
     CodeParams,
     Word,
     encode,
@@ -232,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in verification battery")
     p.add_argument("max_m", type=int, nargs="?", default=3,
-                   help="largest m to sweep, at most 4 (default 3)")
+                   help=f"largest m to sweep, at most {ENUMERATION_LIMIT} (default 3)")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -3,9 +3,9 @@
 The syndrome of a received word is the remainder of its polynomial on
 division by the degree-l product generators.  It vanishes exactly on
 codewords, and it only depends on the error: adding a codeword does not
-change it.  ``syndrome`` computes it without division, by the XOR
-transforms of ``rmcode.remainder_bits`` on ``Word.value``; the tests pin
-it to the remainder of ``division.remainder`` for every m <= 7.
+change it.  ``syndrome`` returns it as a ``Word``, by the XOR transforms
+of ``rmcode.remainder_bits`` on ``Word.value`` and no division; the tests
+pin it to the remainder of ``division.remainder`` for every m <= 7.
 
 Writing the error as a sum of square-free monomials X_I (the error
 locations), the decoder exploits a weight dichotomy.  A location I is
@@ -22,7 +22,8 @@ fixed deterministic order and accepts the first S whose shifted
 syndrome drops to weight at most t - |S|; the leftover monomials are
 the low-degree locations.  It accepts exactly when a codeword lies
 within distance t, so it is bounded-distance decoding at radius t, but
-it may try every set of up to t of the candidates.
+it may try every set of up to t of the candidates, so it refuses the
+(m, l) where those number more than ``SEARCH_LIMIT``.
 
 ``decode`` returns the same result in time polynomial in n, and
 ``decode_search`` stays as the reference the tests compare it with.
@@ -50,6 +51,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
 from typing import Optional
 
 from .polyring import Poly
@@ -75,42 +77,24 @@ CORRECTED_LOW = "corrected_low"
 CORRECTED_OMEGA = "corrected_omega"
 FAILURE = "failure"
 
-
-@dataclass(frozen=True)
-class Syndrome:
-    word: Word  # the remainder's coefficient bits, in the word convention
-
-    @property
-    def remainder(self) -> Poly:
-        return word_to_poly(self.word)
-
-    @property
-    def weight(self) -> int:
-        return self.word.weight()
+SEARCH_LIMIT = 10**7  # most candidate sets decode_search may have to try
 
 
-def syndrome(v: Word, params: CodeParams) -> Syndrome:
-    """Remainder of the received word's polynomial modulo the basis."""
+def syndrome(v: Word, params: CodeParams) -> Word:
+    """Remainder of the received word's polynomial modulo the basis, as a word."""
     if v.n != params.n:
         raise ValueError(f"word length {v.n} does not match code length {params.n}")
-    return Syndrome(Word(v.n, remainder_bits(v.value, params)))
+    return Word(v.n, remainder_bits(v.value, params))
 
 
-@dataclass(frozen=True)
-class HatSet:
-    location: frozenset
-    hat: frozenset  # of frozensets: the subsets L with X_L in the remainder of X_I
-
-
-def hat_set(location, params: CodeParams) -> HatSet:
+def hat_set(location, params: CodeParams) -> frozenset:
     """Support of the remainder of X_I, as a set of subsets of {1..m}.
 
     For |I| < l the monomial is already irreducible, so the hat set is
     {I}; for |I| = l it is the set of proper subsets of I.
     """
-    location = frozenset(location)
     rem = remainder_bits(1 << subset_bit(params.m, location), params)
-    return HatSet(location, frozenset(bit_subset(params.m, b) for b in set_bits(rem)))
+    return frozenset(bit_subset(params.m, b) for b in set_bits(rem))
 
 
 @dataclass(frozen=True)
@@ -136,7 +120,7 @@ def decode(v: Word, params: CodeParams) -> DecodeResult:
     the syndrome (l = 2) or Reed's decoding (l >= 3) is the error, and
     ``_result`` accepts it when it lies within distance t.
     """
-    error = syndrome(v, params).word.value
+    error = syndrome(v, params).value
     if error.bit_count() > params.t:
         if params.l == 2:
             error = _single_location(error, params.m)
@@ -241,8 +225,17 @@ def decode_search(v: Word, params: CodeParams) -> DecodeResult:
     remaining low-degree locations.  Every emitted codeword is re-checked
     to have zero syndrome.  If no candidate set qualifies, the error is
     None; ``_result`` builds the result either way.
+
+    Past ``SEARCH_LIMIT`` sets of 1 to t of the dim candidates, which
+    depends on (m, l) alone, every word raises ValueError, clean ones too.
     """
-    rem = syndrome(v, params).word.value
+    count = 0
+    for size in range(1, params.t + 1):
+        count += comb(params.dim, size)
+        if count > SEARCH_LIMIT:
+            raise ValueError(f"decode_search is limited to {SEARCH_LIMIT} candidate sets, "
+                             f"got more at m={params.m}, l={params.l}")
+    rem = syndrome(v, params).value
     t = params.t
     if rem.bit_count() <= t:
         return _result(v, rem, params)
@@ -257,7 +250,7 @@ def decode_search(v: Word, params: CodeParams) -> DecodeResult:
             error = shifted
             for bit, _ in chosen:
                 error ^= bit
-            if syndrome(Word(v.n, v.value ^ error), params).weight == 0:
+            if not syndrome(Word(v.n, v.value ^ error), params).value:
                 return _result(v, error, params)
     return _result(v, None, params)
 

@@ -103,28 +103,10 @@ class Word:
             raise ValueError(f"value out of range for {self.n}-bit word")
 
     @classmethod
-    def zeros(cls, n: int) -> "Word":
-        return cls(n, 0)
-
-    @classmethod
-    def from_bits(cls, bits) -> "Word":
-        bits = list(bits)
-        value = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bits must be 0 or 1, got {b!r}")
-            value = (value << 1) | b
-        return cls(len(bits), value)
-
-    @classmethod
     def from_string(cls, s: str) -> "Word":
         if not s or any(c not in "01" for c in s):
             raise ValueError(f"word string must be nonempty over 0/1, got {s!r}")
         return cls(len(s), int(s, 2))
-
-    @property
-    def bits(self) -> tuple:
-        return tuple((self.value >> (self.n - 1 - i)) & 1 for i in range(self.n))
 
     def weight(self) -> int:
         return self.value.bit_count()
@@ -262,7 +244,7 @@ def groebner_basis(params: CodeParams):
     """The generators {g_I : |I| = l}, in descending X_I order.
 
     This set is the reduced Groebner basis of the ideal it generates,
-    for both lex and grlex; the decoder divides by it.
+    for both lex and grlex; ``remainder_bits`` reduces modulo it.
     """
     return tuple(_generator(params.m, b) for b in subset_bits(params.m, (params.l,)))
 

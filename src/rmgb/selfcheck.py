@@ -12,6 +12,7 @@ import random
 from .decoder import FAILURE, decode, decode_search, hat_set, ml_decode_bruteforce, syndrome
 from .polyring import parse_poly
 from .rmcode import (
+    ENUMERATION_LIMIT,
     CodeParams,
     Word,
     berman_check,
@@ -24,6 +25,7 @@ from .rmcode import (
     rank,
     set_bits,
     subset_bits,
+    word_to_poly,
 )
 
 DEFAULT_SWEEP_SEED = 20240814
@@ -47,10 +49,9 @@ def verify_golden_example() -> str:
     """Known-answer test: one flipped bit in an 8-bit codeword, (m,l)=(3,2)."""
     params = CodeParams(3, 2)
     received = Word.from_string("10100010")
-    syn = syndrome(received, params)
-    expected_syndrome = parse_poly("x2 + x3 + 1", 3)
-    if syn.remainder != expected_syndrome:
-        raise CheckFailed(f"golden syndrome mismatch: got {syn.remainder}")
+    syn = word_to_poly(syndrome(received, params))
+    if syn != parse_poly("x2 + x3 + 1", 3):
+        raise CheckFailed(f"golden syndrome mismatch: got {syn}")
     result = decode(received, params)
     if str(result.codeword) != "10101010":
         raise CheckFailed(f"golden codeword mismatch: got {result.codeword}")
@@ -92,7 +93,7 @@ def verify_dichotomy(params: CodeParams) -> str:
         e = Word(params.n, value)
         locations = [bit_subset(params.m, b) for b in set_bits(value)]
         all_low = all(len(loc) < params.l for loc in locations)
-        weight = syndrome(e, params).weight
+        weight = syndrome(e, params).weight()
         if (weight <= t) != all_low:
             raise CheckFailed(
                 f"dichotomy violated for error {e} (m={params.m}, l={params.l}): "
@@ -110,7 +111,7 @@ def verify_location_weights(params: CodeParams) -> str:
     bits = subset_bits(params.m, range(params.l, params.m + 1))
     for b in bits:
         loc = bit_subset(params.m, b)
-        weight = len(hat_set(loc, params).hat)
+        weight = len(hat_set(loc, params))
         if weight <= t:
             raise CheckFailed(
                 f"remainder of X_{sorted(loc)} has weight {weight} <= t = {t}"
@@ -162,8 +163,8 @@ def verify_decode_agreement(params: CodeParams, codeword_sample: int = 32,
 
 def run_selftest(max_m: int):
     """Run the whole battery up to max_m, as (name, ok, detail) rows."""
-    if not 1 <= max_m <= 4:
-        raise ValueError(f"selftest supports max_m in 1..4, got {max_m}")
+    if not 1 <= max_m <= ENUMERATION_LIMIT:
+        raise ValueError(f"selftest supports max_m in 1..{ENUMERATION_LIMIT}, got {max_m}")
     checks = []
     if max_m >= 3:
         checks.append(("golden-example", verify_golden_example, ()))

@@ -20,6 +20,7 @@ from rmgb.rmcode import (
     poly_to_word,
     rank,
     square_relations,
+    word_to_poly,
 )
 from rmgb.selfcheck import (
     verify_berman,
@@ -58,7 +59,7 @@ def test_criterion_01_golden_example():
     params = CodeParams(3, 2)
     received = Word.from_string("10100010")
     syn = syndrome(received, params)
-    assert syn.remainder == parse_poly("x2 + x3 + 1", 3)
+    assert word_to_poly(syn) == parse_poly("x2 + x3 + 1", 3)
     result = decode(received, params)
     assert str(result.codeword) == "10101010"
     assert result.error == parse_poly("x2*x3", 3)

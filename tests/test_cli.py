@@ -272,10 +272,11 @@ def test_simulate_bad_mode(capsys, tmp_path):
 
 
 def test_selftest_small(capsys):
-    code, out, _ = run(capsys, "selftest", "2")
-    assert code == 0
-    assert "checks passed" in out.splitlines()[-1]
-    assert all(line.startswith("PASS") for line in out.splitlines()[:-1])
+    for max_m in ("2", "4"):  # 4 is the advertised maximum
+        code, out, _ = run(capsys, "selftest", max_m)
+        assert code == 0
+        assert "checks passed" in out.splitlines()[-1]
+        assert all(line.startswith("PASS") for line in out.splitlines()[:-1])
 
 
 def test_selftest_capability_limit(capsys):

@@ -6,7 +6,7 @@ for m = 5 and 6.  Each result's status and chosen locations are also
 worked out here from its error bits alone, since both decoders share
 the rule that reads them off.  Beyond m = 6 the search is too slow to
 compare with, so the (12, 5) edge test checks ``decode`` against the
-known error.
+known error; past ``SEARCH_LIMIT`` candidate sets the search refuses.
 """
 
 import random
@@ -14,7 +14,16 @@ import time
 
 import pytest
 
-from rmgb.decoder import CLEAN, CORRECTED_LOW, CORRECTED_OMEGA, FAILURE, decode, decode_search
+from rmgb.decoder import (
+    CLEAN,
+    CORRECTED_LOW,
+    CORRECTED_OMEGA,
+    FAILURE,
+    SEARCH_LIMIT,
+    _candidate_locations,
+    decode,
+    decode_search,
+)
 from rmgb.polyring import Poly
 from rmgb.rmcode import CodeParams, Word, encode, monomial_positions, random_message
 
@@ -103,3 +112,19 @@ def test_decode_m12_l5_edge():
     result = decode(Word(params.n, c.value ^ error ^ 1 << positions[-1]), params)
     assert result.status == FAILURE
     assert result.codeword is None and result.error is None
+
+
+def test_search_limit():
+    # refused from (m, l) alone, before any candidate is built: 151M sets at (10, 3)
+    built = _candidate_locations.cache_info().currsize
+    for m, l in [(10, 3), (16, 3), (16, 12)]:
+        params = CodeParams(m, l)
+        zero = Word(params.n, 0)  # a clean word is refused too
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"limited to {SEARCH_LIMIT} candidate sets, got more at m={m}, l={l}$"):
+            decode_search(zero, params)
+        assert time.perf_counter() - start < 0.1
+    assert _candidate_locations.cache_info().currsize == built
+    # every m <= 6 is still searched, and (8, 3) with its 1,750,759 sets
+    for params in [CodeParams(m, l) for m in range(1, 7) for l in range(m + 1)] + [CodeParams(8, 3)]:
+        assert decode_search(Word(params.n, 0), params).status == CLEAN

