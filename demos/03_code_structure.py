@@ -63,7 +63,7 @@ print("dimension complement identity holds for m = 5")
 
 # Encoding evaluates a square-free message of degree <= m - l at all
 # points of {0,1}^m; the message monomials index the information bits.
-basis_polys = [Poly.monomial(params.m, mono) for mono in message_monomials(params)]
+basis_polys = [Poly(params.m, [mono]) for mono in message_monomials(params)]
 print("\nmessage monomials for (3, 2):", [format_poly(f) for f in basis_polys])
 msg = basis_polys[1]  # x2
 print(f"encode({format_poly(msg)}) = {encode(msg, params)}")

@@ -2,7 +2,7 @@
 with Groebner-basis machinery and remainder-syndrome decoding.
 Exports the API that the README and demos use, plus the decode statuses."""
 
-from .polyring import GRLEX, LEX, Poly, format_poly, mono_divides, parse_poly
+from .polyring import GRLEX, LEX, Poly, format_poly, parse_poly
 from .division import divide, remainder
 from .groebner import (
     buchberger_complete,

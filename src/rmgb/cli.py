@@ -13,12 +13,13 @@ import json
 import random
 import sys
 import time
+from math import comb
 
 from . import selfcheck
 from .decoder import FAILURE, decode, random_error
 from .division import divide
 from .groebner import check_basis
-from .polyring import DEFAULT_ORDER, ORDERS, Poly, format_poly, parse_poly
+from .polyring import DEFAULT_ORDER, ORDERS, format_poly, parse_poly
 from .rmcode import (
     ENUMERATION_LIMIT,
     CodeParams,
@@ -35,6 +36,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_DECODE = 3
+
+# `basis` refuses work of more than ~5 s: a listing takes ~5 us per term,
+# reduced-check ~1-3 us per pair per term of a generator
+LIST_LIMIT = 10**6
+CHECK_LIMIT = 4 * 10**6
 
 
 def _read_poly_file(path: str, m: int):
@@ -70,6 +76,7 @@ def cmd_basis(args) -> int:
         polys = square_relations(args.m)
     else:
         params = CodeParams(args.m, args.l)
+        _check_basis_size(args.which, args.m, args.l)  # after CodeParams checks m and l
         if args.which == "G":
             polys = groebner_basis(params)
         elif args.which == "jennings":
@@ -79,6 +86,16 @@ def cmd_basis(args) -> int:
     for p in polys:
         print(format_poly(p, args.order))
     return EXIT_OK
+
+
+def _check_basis_size(which: str, m: int, l: int) -> None:
+    if which == "reduced-check":
+        limit, what, cost = CHECK_LIMIT, "pairs times terms per generator", comb(comb(m, l), 2) << l
+    else:  # the g_I, |I| = k, have C(m, k) * 2^k terms
+        sizes = [l] if which == "G" else range(l, m + 1)
+        limit, what, cost = LIST_LIMIT, "terms", sum(comb(m, k) << k for k in sizes)
+    if cost > limit:
+        raise ValueError(f"basis {which} is limited to {limit} {what}, got {cost} at m={m}, l={l}")
 
 
 def cmd_encode(args) -> int:

@@ -39,19 +39,10 @@ def _packed_s(a, b, packing: MonomialPacking) -> set:
     The two leads cancel, so only the tails are multiplied; ``a``'s
     products are checked against the cap before ``b``'s.
     """
-    guard, room = packing.guard, packing.room
     lcm = packing.lcm(a[0], b[0])
     s = set()
     for lead, tail in (a, b):
-        cofactor = lcm - lead
-        for t in tail:
-            p = cofactor + t
-            if (p + room) & guard:
-                raise packing.overflow(p)
-            if p in s:
-                s.remove(p)
-            else:
-                s.add(p)
+        packing.add_products(s, lcm - lead, tail)
     return s
 
 

@@ -12,15 +12,17 @@ Two monomial orders are supported, both with precedence
 * ``lex``: compare exponent tuples left to right.
 * ``grlex``: compare total degree first, ties broken by lex.
 
-Exponents are capped at ``EXPONENT_CAP``.  The intended ambient rings
-here are quotients by ``x_i^2 - 1``, so exponents above 2 only occur
-transiently (for instance inside a product before reduction), and the
-cap guards against runaway inputs rather than limiting real use.
+Exponents are capped at ``EXPONENT_CAP``; a product past it raises ValueError.
+Products formed on the way can pass the cap when the reduced Groebner basis
+does not: under lex, ``buchberger_complete`` raises on ``[x1*x3, x2^2*x3^2 +
+x1*x3 + x2^2 + x3^2, x1^2*x2^2*x3^2 + x1*x3 + x1]``, whose reduced basis is
+``[x1, x2^2*x3^2 + x2^2 + x3^2]``.  Under lex so can ideals of A =
+GF(2)[X]/(X_i^2 - 1) (README, "Limits"); under grlex none has been seen to.
 
-The Groebner toolkit (division, S-polynomials, Buchberger completion
-and basis checks) packs each monomial into one int with a
-``MonomialPacking`` when a call starts and unpacks its results when it
-returns.  Each variable gets a field of ``FIELD_BITS`` =
+Products and the Groebner toolkit (division, S-polynomials, completion
+and basis checks) pack each monomial into one int with a
+``MonomialPacking`` when a call starts and unpack their results when
+they return.  Each variable gets a field of ``FIELD_BITS`` =
 ``EXPONENT_CAP.bit_length() + 1`` bits (4 for a cap of 4), with ``x1``
 in the highest field; under grlex the total degree sits above the
 fields, and under lex there is no degree field.  An exponent is at most
@@ -64,22 +66,6 @@ def monomial_key(order: str):
     raise ValueError(f"unknown monomial order {order!r}, expected one of {ORDERS}")
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if len(a) != len(b):
-        raise ValueError("cannot multiply monomials in different variable counts")
-    prod = tuple(x + y for x, y in zip(a, b))
-    if any(e > EXPONENT_CAP for e in prod):
-        raise ValueError(f"exponent overflow: product {prod} exceeds cap {EXPONENT_CAP}")
-    return prod
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when monomial ``a`` divides monomial ``b``."""
-    if len(a) != len(b):
-        raise ValueError("cannot compare monomials in different variable counts")
-    return all(x <= y for x, y in zip(a, b))
-
-
 class Poly:
     """Immutable polynomial over GF(2), stored as a frozenset of monomials.
 
@@ -114,25 +100,6 @@ class Poly:
         object.__setattr__(self, "support", support)
         return self
 
-    @classmethod
-    def zero(cls, m: int) -> "Poly":
-        return cls(m)
-
-    @classmethod
-    def one(cls, m: int) -> "Poly":
-        return cls(m, [(0,) * m])
-
-    @classmethod
-    def monomial(cls, m: int, mono: Monomial) -> "Poly":
-        return cls(m, [mono])
-
-    @classmethod
-    def variable(cls, m: int, i: int) -> "Poly":
-        """The polynomial ``x_i`` (1-based index)."""
-        if not 1 <= i <= m:
-            raise ValueError(f"variable index {i} out of range 1..{m}")
-        return cls(m, [tuple(1 if j == i - 1 else 0 for j in range(m))])
-
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
@@ -158,11 +125,12 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
-        acc: set = set()
+        packing = MonomialPacking(self.m, LEX)
+        right = [packing.pack(b) for b in other.support]
+        acc = set()
         for a in self.support:
-            for b in other.support:
-                acc ^= {mono_mul(a, b)}
-        return Poly._make(self.m, frozenset(acc))
+            packing.add_products(acc, packing.pack(a), right)
+        return packing.poly(acc)
 
     def _check_compatible(self, other) -> None:
         if not isinstance(other, Poly):
@@ -175,15 +143,6 @@ class Poly:
         if not self.support:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.support, key=monomial_key(order))
-
-    def total_degree(self) -> int:
-        """Largest total degree of a monomial in the support, -1 for zero."""
-        if not self.support:
-            return -1
-        return max(sum(mono) for mono in self.support)
-
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for mono in self.support for e in mono)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -253,6 +212,18 @@ class MonomialPacking:
             fields |= degree << FIELD_BITS * self.m
         return fields
 
+    def add_products(self, acc: set, a: int, monos) -> None:
+        """Add ``a * b`` for each b in ``monos`` to the packed set ``acc``, mod 2, under the cap."""
+        guard, room = self.guard, self.room
+        for b in monos:
+            p = a + b
+            if (p + room) & guard:
+                raise self.overflow(p)
+            if p in acc:
+                acc.remove(p)
+            else:
+                acc.add(p)
+
     def overflow(self, p: int) -> ValueError:
         """The error for a packed product ``p`` with an exponent above the cap."""
         return ValueError(f"exponent overflow: product {self.unpack(p)} exceeds cap {EXPONENT_CAP}")
@@ -296,7 +267,7 @@ def parse_poly(text: str, m: int) -> Poly:
     return Poly(m, monomials)
 
 
-def format_poly(f: Poly, order: str = DEFAULT_ORDER, var: str = "x") -> str:
+def format_poly(f: Poly, order: str = DEFAULT_ORDER) -> str:
     """Render a Poly as text, terms in descending monomial order."""
     if not f:
         return "0"
@@ -305,8 +276,8 @@ def format_poly(f: Poly, order: str = DEFAULT_ORDER, var: str = "x") -> str:
         factors = []
         for i, e in enumerate(mono):
             if e == 1:
-                factors.append(f"{var}{i + 1}")
+                factors.append(f"x{i + 1}")
             elif e > 1:
-                factors.append(f"{var}{i + 1}^{e}")
+                factors.append(f"x{i + 1}^{e}")
         terms.append("*".join(factors) if factors else "1")
     return " + ".join(terms)

@@ -229,12 +229,8 @@ def remainder_bits(value: int, params: CodeParams) -> int:
     return superset_xor(superset_xor(value, m) & _low_degree_mask(m, params.l), m)
 
 
-def product_generator(m: int, subset) -> Poly:
-    """The product g_I of (X_i - 1) over i in I: sum of X_L for L subset I."""
-    return _generator(m, subset_bit(m, subset))
-
-
 def _generator(m: int, b: int) -> Poly:
+    """The product g_I of (X_i - 1) over the I of bit b: the sum of X_L, L subset I."""
     # the subsets L of I are the submasks of b, the bits with b as a supermask
     return word_to_poly(Word(1 << m, superset_xor(1 << b, m)))
 

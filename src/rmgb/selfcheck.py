@@ -28,21 +28,12 @@ from .rmcode import (
     word_to_poly,
 )
 
-DEFAULT_SWEEP_SEED = 20240814
+SWEEP_SEED = 20240814
+SWEEP_CODEWORDS = 32  # codewords per code that verify_decode_agreement samples
 
 
 class CheckFailed(Exception):
     """A verification sweep found a violation; the message describes it."""
-
-
-def sample_codewords(params: CodeParams, sample: int, seed: int):
-    """Deterministic codeword sample: the whole code when it is small."""
-    total = 1 << params.dim
-    if total <= max(sample, 64):
-        masks = list(range(total))
-    else:
-        masks = sorted(random.Random(seed).sample(range(total), sample))
-    return [encode_bits(message_from_mask(params, mask), params) for mask in masks]
 
 
 def verify_golden_example() -> str:
@@ -124,8 +115,7 @@ def verify_location_weights(params: CodeParams) -> str:
     return f"{len(bits)} locations"
 
 
-def verify_decode_agreement(params: CodeParams, codeword_sample: int = 32,
-                            seed: int = DEFAULT_SWEEP_SEED) -> str:
+def verify_decode_agreement(params: CodeParams) -> str:
     """Full decoding correctness against the brute-force oracle.
 
     For sampled codewords and every error pattern of weight <= t, the
@@ -136,7 +126,12 @@ def verify_decode_agreement(params: CodeParams, codeword_sample: int = 32,
     """
     if params.t < 1:
         raise ValueError("sweep needs a code with t >= 1")
-    words = sample_codewords(params, codeword_sample, seed)
+    total = 1 << params.dim  # the whole code when it is small, else a seeded sample
+    if total <= max(SWEEP_CODEWORDS, 64):
+        masks = range(total)
+    else:
+        masks = sorted(random.Random(SWEEP_SEED).sample(range(total), SWEEP_CODEWORDS))
+    words = [encode_bits(message_from_mask(params, mask), params) for mask in masks]
     errors = [Word(params.n, e) for e in subset_bits(params.n, range(params.t + 1))]
     for c in words:
         for e in errors:

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,33 @@ def test_basis_reduced_check(capsys):
     code, out, _ = run(capsys, "basis", "-m", "3", "-l", "2", "reduced-check")
     assert code == 0
     assert out.splitlines() == ["GROEBNER: yes", "REDUCED: yes"]
+
+
+@pytest.mark.parametrize("l, which, limit", [
+    (1, "jennings", "1000000 terms, got 43046720"),  # 3^16 - 1
+    (8, "G", "1000000 terms, got 3294720"),
+    (12, "G", "1000000 terms, got 7454720"),
+    (8, "reduced-check", "4000000 pairs times terms per generator, got 21199875840"),
+    (14, "reduced-check", "4000000 pairs times terms per generator, got 116981760"),
+], ids=["jennings-1", "G-8", "G-12", "reduced-check-8", "reduced-check-14"])
+def test_basis_refuses_oversized_requests(capsys, monkeypatch, l, which, limit):
+    def unbuilt(params):
+        raise AssertionError("built a basis before refusing")
+
+    monkeypatch.setattr("rmgb.cli.groebner_basis", unbuilt)
+    monkeypatch.setattr("rmgb.cli.jennings_basis", unbuilt)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "basis", "-m", "16", "-l", str(l), which)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err == f"error: basis {which} is limited to {limit} at m=16, l={l}\n"
+
+
+def test_basis_admits_requests_within_the_limits(capsys):
+    code, out, _ = run(capsys, "basis", "-m", "16", "-l", "1", "reduced-check")
+    assert code == 0 and out.splitlines() == ["GROEBNER: yes", "REDUCED: yes"]
+    code, out, _ = run(capsys, "basis", "-m", "16", "-l", "16", "G")  # 65536 terms
+    assert code == 0 and out.count("+") == 65535
 
 
 def test_divide_walkthrough(capsys, tmp_path):

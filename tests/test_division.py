@@ -4,8 +4,9 @@ import re
 import pytest
 
 from rmgb.division import DivisionResult, divide, remainder
-from rmgb.polyring import GRLEX, LEX, Poly, monomial_key, mono_divides, parse_poly
+from rmgb.polyring import GRLEX, LEX, Poly, monomial_key, parse_poly
 from rmgb.rmcode import CodeParams, groebner_basis
+from tuple_toolkit import mono_divides
 
 
 def G32():
@@ -31,19 +32,19 @@ def test_divisor_in_list():
     divisors = G32()
     result = divide(divisors[0], divisors, GRLEX)
     assert not result.remainder
-    assert result.quotients[0] == Poly.one(3)
+    assert result.quotients[0] == parse_poly("1", 3)
     assert not result.quotients[1] and not result.quotients[2]
 
 
 def test_remainder_shortcuts():
-    assert remainder(Poly.zero(3), G32()) == Poly.zero(3)
+    assert remainder(Poly(3), G32()) == Poly(3)
     assert remainder(parse_poly("x3", 3), G32()) == parse_poly("x3", 3)
     assert remainder(parse_poly("x1*x3", 3), G32()) == parse_poly("x1 + x3 + 1", 3)
 
 
 def test_zero_divisor_rejected():
     with pytest.raises(ValueError):
-        divide(parse_poly("x1", 2), [Poly.zero(2)])
+        divide(parse_poly("x1", 2), [Poly(2)])
     with pytest.raises(ValueError):
         divide(parse_poly("x1", 2), [])
 
@@ -78,7 +79,7 @@ def rand_divisors(rng, m, count=3, order=GRLEX):
     out = []
     while len(out) < count:
         p = rand_poly(rng, m)
-        if p and sum(p.leading(order)) == p.total_degree():
+        if p and sum(p.leading(order)) == max(map(sum, p.support)):
             out.append(p)
     return out
 
@@ -117,7 +118,7 @@ def test_division_result_is_frozen():
     result = divide(parse_poly("x1", 2), [parse_poly("x1 + 1", 2)])
     assert isinstance(result, DivisionResult)
     with pytest.raises(AttributeError):
-        result.remainder = Poly.zero(2)
+        result.remainder = Poly(2)
 
 
 def test_product_above_exponent_cap_raises():

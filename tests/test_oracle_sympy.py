@@ -29,7 +29,7 @@ def to_expr(poly, gens):
 
 def from_expr(expr, m, gens):
     if expr == 0:
-        return Poly.zero(m)
+        return Poly(m)
     spoly = sp.Poly(expr, *gens, modulus=2)
     return Poly(m, [mono for mono, coeff in spoly.terms() if int(coeff) % 2])
 

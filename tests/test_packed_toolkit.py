@@ -18,7 +18,7 @@ import pytest
 import tuple_toolkit as ref
 from rmgb.division import divide
 from rmgb.groebner import buchberger_complete, check_basis, is_reduced, reduce_basis, s_polynomial
-from rmgb.polyring import EXPONENT_CAP, GRLEX, LEX, Poly, monomial_key
+from rmgb.polyring import EXPONENT_CAP, GRLEX, LEX, Poly, monomial_key, parse_poly
 from rmgb.rmcode import monomial_positions, square_relations
 
 ORDERS = (LEX, GRLEX)
@@ -93,7 +93,7 @@ def test_check_basis_with_divisible_leads_or_not_groebner(order):
         reduced = list(reduce_basis(buchberger_complete(gens, order), order))
         redundant = list(reduced)
         redundant.insert(rng.randint(0, len(reduced)),
-                         rng.choice(reduced) * Poly.variable(m, rng.randint(1, m)))
+                         rng.choice(reduced) * parse_poly(f"x{rng.randint(1, m)}", m))
         assert _check_report_matches(redundant, order).is_groebner
         if len(reduced) >= 3:
             a, b, c = rng.sample(range(len(reduced)), 3)
@@ -145,7 +145,7 @@ def test_reduce_basis_matches_tuple_reference_on_unreduced_bases(order):
     key = monomial_key(order)
     for rng, m, gens in seeded_ideals(605, 30):
         reduced = reduce_basis(buchberger_complete(gens, order), order)
-        basis = [rng.choice(reduced) * Poly.variable(m, rng.randint(1, m))]
+        basis = [rng.choice(reduced) * parse_poly(f"x{rng.randint(1, m)}", m)]
         for g in reduced:
             below = [h for h in reduced if key(h.leading(order)) < key(g.leading(order))]
             basis.append(sum(rng.sample(below, min(2, len(below))), g))

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -20,13 +19,13 @@ from rmgb.rmcode import (
     codeword_values,
     monomial_positions,
     poly_to_word,
-    product_generator,
     random_message,
     rank,
     square_relations,
     subset_bit,
     word_to_poly,
 )
+from tuple_toolkit import monomial_subset
 
 
 def test_params_derived_values():
@@ -124,24 +123,32 @@ def test_subset_monomial_roundtrip():
         subset_bit(3, {0})
 
 
+def product_generators(m):
+    """g_I for every subset I, keyed by I: jennings_basis(CodeParams(m, 0)), read by lead X_I."""
+    return {monomial_subset(g.leading()): g for g in jennings_basis(CodeParams(m, 0))}
+
+
 def test_product_generator_expansion():
-    assert product_generator(3, {1, 2}) == parse_poly("x1*x2 + x1 + x2 + 1", 3)
-    assert product_generator(3, set()) == Poly.one(3)
-    full = product_generator(3, {1, 2, 3})
+    g = product_generators(3)
+    assert g[frozenset({1, 2})] == parse_poly("x1*x2 + x1 + x2 + 1", 3)
+    assert g[frozenset()] == parse_poly("1", 3)
+    full = g[frozenset({1, 2, 3})]
     assert len(full) == 8  # one term per subset
     assert full.leading(GRLEX) == (1, 1, 1)
     with pytest.raises(ValueError, match="^index 4 out of range 1..3$"):
-        product_generator(3, {1, 4})
+        subset_bit(3, {1, 4})
 
 
 def test_product_generator_is_the_product_of_linear_factors():
     for m in range(1, 6):
+        g = product_generators(m)
+        assert len(g) == 1 << m
         for k in range(m + 1):
             for subset in itertools.combinations(range(1, m + 1), k):
-                want = Poly.one(m)
+                want = parse_poly("1", m)
                 for i in subset:
-                    want = want * (Poly.variable(m, i) + Poly.one(m))
-                assert product_generator(m, subset) == want, (m, subset)
+                    want = want * parse_poly(f"x{i} + 1", m)
+                assert g[frozenset(subset)] == want, (m, subset)
 
 
 def test_groebner_basis_listing_order():
@@ -162,7 +169,7 @@ def test_jennings_basis_members_and_size():
     params = CodeParams(3, 2)
     basis = jennings_basis(params)
     assert len(basis) == params.dim == 4
-    assert basis[0] == product_generator(3, {1, 2, 3})
+    assert basis[0] == parse_poly("x1*x2*x3 + x1*x2 + x1*x3 + x2*x3 + x1 + x2 + x3 + 1", 3)
     G = list(groebner_basis(params))
     for b in basis:
         assert ideal_member(b, G)
@@ -256,7 +263,7 @@ def test_codewords_enumeration():
 
 def codewords_by_mask(params):
     """Reference enumeration: codeword mask XORs the encoded message monomials i set in mask."""
-    rows = [encode(Poly.monomial(params.m, mono), params).value for mono in message_monomials(params)]
+    rows = [encode(Poly(params.m, [mono]), params).value for mono in message_monomials(params)]
     for mask in range(1 << len(rows)):
         acc = 0
         for i, row in enumerate(rows):
@@ -297,7 +304,7 @@ def test_berman_small():
 
 def test_berman_check_rejects_other_span(monkeypatch):
     # three independent weight-1 words: the rank of RM(1, 2), another span
-    unit_rows = tuple(Poly.monomial(2, mono) for mono in monomial_positions(2)[:3])
+    unit_rows = tuple(Poly(2, [mono]) for mono in monomial_positions(2)[:3])
     monkeypatch.setattr("rmgb.rmcode.jennings_basis", lambda params: unit_rows)
     params = CodeParams(2, 1)
     assert rank([poly_to_word(g).value for g in unit_rows]) == params.dim
@@ -325,7 +332,8 @@ def test_random_message_deterministic():
     a = random_message(params, random.Random(5))
     b = random_message(params, random.Random(5))
     assert a == b
-    assert a.is_squarefree() and a.total_degree() <= params.nu
+    assert all(e <= 1 for mono in a.support for e in mono)  # square-free
+    assert max(map(sum, a.support), default=-1) <= params.nu
     # the seeded stream: bit i of one getrandbits draw selects monomial i
     for m in range(1, 9):
         for l in range(0, m + 1):

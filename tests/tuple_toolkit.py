@@ -3,8 +3,12 @@
 These are the tuple implementations of ``divide``, ``s_polynomial``,
 ``check_basis``, ``is_reduced``, ``buchberger_complete`` and
 ``reduce_basis`` that ``rmgb`` ran before it packed monomials into ints,
-kept unchanged apart from the imports.  ``tests/test_packed_toolkit.py``
-pins the library's results equal to theirs.
+kept unchanged apart from the imports and the spelling of a one-term
+``Poly``.  ``tests/test_packed_toolkit.py`` pins the library's results
+equal to theirs.  ``mono_mul``, ``mono_divides`` and ``mul`` (the old
+``Poly.__mul__``) are the tuple rules that ``rmgb.polyring`` ran before
+``Poly.__mul__`` packed its monomials; ``tests/test_polyring.py`` pins
+the packed product to ``mul``, overflow errors included.
 
 ``subset_monomial`` and ``monomial_subset`` are the exponent-tuple form of
 the subset map that ``rmgb.rmcode`` keeps on ``Word.value`` bits
@@ -18,7 +22,32 @@ from collections import deque
 
 from rmgb.division import DivisionResult
 from rmgb.groebner import BasisReport
-from rmgb.polyring import DEFAULT_ORDER, Poly, mono_divides, mono_mul, monomial_key
+from rmgb.polyring import DEFAULT_ORDER, EXPONENT_CAP, Poly, monomial_key
+
+
+def mono_mul(a, b):
+    if len(a) != len(b):
+        raise ValueError("cannot multiply monomials in different variable counts")
+    prod = tuple(x + y for x, y in zip(a, b))
+    if any(e > EXPONENT_CAP for e in prod):
+        raise ValueError(f"exponent overflow: product {prod} exceeds cap {EXPONENT_CAP}")
+    return prod
+
+
+def mono_divides(a, b):
+    """True when monomial ``a`` divides monomial ``b``."""
+    if len(a) != len(b):
+        raise ValueError("cannot compare monomials in different variable counts")
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mul(f: Poly, g: Poly) -> Poly:
+    """``f * g``: each pair of monomials multiplied by ``mono_mul``, in support order."""
+    acc: set = set()
+    for a in f.support:
+        for b in g.support:
+            acc ^= {mono_mul(a, b)}
+    return Poly(f.m, acc)
 
 
 def mono_div(b, a):
@@ -102,8 +131,8 @@ def s_polynomial(f: Poly, g: Poly, order: str = DEFAULT_ORDER) -> Poly:
     lf = f.leading(order)
     lg = g.leading(order)
     lcm = mono_lcm(lf, lg)
-    left = Poly.monomial(f.m, mono_div(lcm, lf)) * f
-    right = Poly.monomial(g.m, mono_div(lcm, lg)) * g
+    left = mul(Poly(f.m, [mono_div(lcm, lf)]), f)
+    right = mul(Poly(g.m, [mono_div(lcm, lg)]), g)
     return left + right
 
 
