@@ -51,7 +51,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, log, log1p
 from typing import Optional
 
 from .polyring import Poly
@@ -281,8 +281,12 @@ def random_error(params: CodeParams, mode: str, seed, *, weight=None, flip_prob=
 
     ``mode="fixed_weight"`` flips exactly ``weight`` positions chosen
     uniformly; ``mode="bsc"`` flips each position independently with
-    probability ``flip_prob``.  ``seed`` may be an int or an existing
-    random.Random (useful for drawing several errors from one stream).
+    probability ``flip_prob``.  Both modes draw the bits b of
+    ``Word.value`` to flip (word position n - b) directly; bsc skips
+    from flip to flip by geometric gaps, one draw per flip plus one
+    (Devroye 1986, ch. X.2).
+    ``seed`` may be an int or an existing random.Random (useful for
+    drawing several errors from one stream).
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = params.n
@@ -295,9 +299,15 @@ def random_error(params: CodeParams, mode: str, seed, *, weight=None, flip_prob=
     elif mode == "bsc":
         if flip_prob is None or not 0.0 <= flip_prob <= 1.0:
             raise ValueError("bsc mode needs a flip probability in [0, 1]")
-        for pos in range(n):
-            if rng.random() < flip_prob:
-                value |= 1 << (n - 1 - pos)
+        if flip_prob == 1.0:  # log1p(-1) is out of log's domain
+            value = (1 << n) - 1
+        elif flip_prob > 0.0:
+            log_q, pos = log1p(-flip_prob), 0
+            # P(gap >= k) = (1 - p)^k; compared as a float, as a tiny p makes it inf
+            while (gap := log(1.0 - rng.random()) / log_q) < n - pos:
+                pos += int(gap)
+                value |= 1 << pos
+                pos += 1
     else:
         raise ValueError(f"unknown error mode {mode!r}, expected fixed_weight or bsc")
     return Word(n, value)

@@ -19,6 +19,8 @@ from typing import Optional
 from .division import packed_remainder, remainder
 from .polyring import DEFAULT_ORDER, MonomialPacking, Poly
 
+MAX_ADDITIONS = 10000  # S-remainders buchberger_complete may add before it gives up
+
 
 def s_polynomial(f: Poly, g: Poly, order: str = DEFAULT_ORDER) -> Poly:
     """S-polynomial of ``f`` and ``g``, cancelling their leading terms.
@@ -153,13 +155,13 @@ def ideal_member(f: Poly, basis, order: str = DEFAULT_ORDER) -> bool:
     return not remainder(f, list(basis), order)
 
 
-def buchberger_complete(generators, order: str = DEFAULT_ORDER, max_additions: int = 10000):
+def buchberger_complete(generators, order: str = DEFAULT_ORDER):
     """Complete a generating set to a Groebner basis (Buchberger's algorithm).
 
     Returns the deduplicated nonzero generators in input order, then each
     nonzero S-remainder in the order it was added: a Groebner basis that
     contains the generators.  Raises RuntimeError if more than
-    ``max_additions`` elements get added, as a divergence guard.
+    ``MAX_ADDITIONS`` elements get added, as a divergence guard.
 
     Each element, generators included, enters by ``_update``.  Pairs are
     reduced first in, first out, against the active set only.
@@ -180,8 +182,8 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER, max_additions: i
         basis.append(packing.poly(r))
         packed.append((r[0], r[1:]))
         additions += 1
-        if additions > max_additions:
-            raise RuntimeError(f"Buchberger completion exceeded {max_additions} additions")
+        if additions > MAX_ADDITIONS:
+            raise RuntimeError(f"Buchberger completion exceeded {MAX_ADDITIONS} additions")
         divisors = _update(packing, packed, active, pairs, len(basis) - 1)
     return tuple(basis)
 

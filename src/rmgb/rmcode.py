@@ -37,7 +37,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import itemgetter
 
 from .polyring import MAX_VARS, Poly
 
@@ -377,27 +376,9 @@ def min_weight_bruteforce(params: CodeParams) -> int:
     return min(v.bit_count() for v in codeword_values(params) if v)  # the all-ones word is one
 
 
-@lru_cache(maxsize=None)
-def _message_scatter(params: CodeParams):
-    """Picks each word digit out of a draw's k binary digits and a padding "0"."""
-    bits = _message_bits(params)
-    k, source = len(bits), [len(bits)] * params.n
-    for i, b in enumerate(bits):
-        source[params.n - 1 - b] = k - 1 - i  # bit i of the draw is digit k - 1 - i
-    return k, itemgetter(*source)
-
-
-def message_from_mask(params: CodeParams, mask: int) -> int:
-    """Message bits in which bit i of mask selects ``message_monomials(params)[i]``."""
-    k, scatter = _message_scatter(params)
-    if mask < 0 or mask.bit_length() > k:
-        raise ValueError(f"message mask out of range for {k} message monomials")
-    return int("".join(scatter(format(mask, f"0{k}b") + "0")), 2)
-
-
 def random_message_bits(params: CodeParams, rng) -> int:
-    """Random message bits: the ``message_from_mask`` of one draw of dim bits."""
-    return message_from_mask(params, rng.getrandbits(params.dim))
+    """Uniformly random message bits: one n-bit draw, masked to popcount <= nu."""
+    return rng.getrandbits(params.n) & _low_degree_mask(params.m, params.nu + 1)
 
 
 def random_message(params: CodeParams, rng) -> Poly:

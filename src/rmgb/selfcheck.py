@@ -17,9 +17,8 @@ from .rmcode import (
     Word,
     berman_check,
     bit_subset,
-    encode_bits,
+    codeword_values,
     jennings_basis,
-    message_from_mask,
     min_weight_bruteforce,
     poly_to_word,
     rank,
@@ -131,7 +130,7 @@ def verify_decode_agreement(params: CodeParams) -> str:
         masks = range(total)
     else:
         masks = sorted(random.Random(SWEEP_SEED).sample(range(total), SWEEP_CODEWORDS))
-    words = [encode_bits(message_from_mask(params, mask), params) for mask in masks]
+    words = [Word(params.n, codeword_values(params)[mask]) for mask in masks]
     errors = [Word(params.n, e) for e in subset_bits(params.n, range(params.t + 1))]
     for c in words:
         for e in errors:

@@ -199,21 +199,26 @@ def test_simulate_deterministic(capsys, tmp_path):
     assert lines[1].startswith("0,1,")
 
 
-# CSV sha256 prefixes and JSON summaries (without elapsed_s) recorded before
-# the coding path moved to int messages; the seeded streams must not move.
+# CSV sha256 prefixes and JSON summaries (without elapsed_s) of seeded runs.
+# Re-recorded when messages and BSC errors came to be drawn in Word.value's
+# bit order (one masked getrandbits per message, geometric gaps between BSC
+# flips): that moved the bsc rows, m6 and m8, and added m16-bsc.  The fixed:W
+# rows m3 and m16 held; any other change of a seeded stream must re-record here.
 SIMULATE_GOLDEN = [
     (("-m", "3", "-l", "2", "--mode", "fixed:1", "--seed", "11", "--trials", "200"),
      "63366e4a64a9738a", (1, 200, 0, 0)),
     (("-m", "6", "-l", "3", "--mode", "bsc:0.03", "--seed", "5", "--trials", "300"),
-     "86c2d19bf4805052", (3, 259, 41, 0)),
+     "945133d760b96da3", (3, 263, 37, 0)),
     (("-m", "8", "-l", "2", "--mode", "bsc:0.003", "--seed", "7", "--trials", "300"),
-     "a08db54c965f049c", (1, 240, 43, 17)),
+     "cb593841dff68b64", (1, 242, 47, 11)),
     (("-m", "16", "-l", "2", "--mode", "fixed:1", "--seed", "3", "--trials", "30"),
      "c75e04dc2df9a023", (1, 30, 0, 0)),
+    (("-m", "16", "-l", "2", "--mode", "bsc:0.00001", "--seed", "3", "--trials", "200"),
+     "92454d4f42d33c97", (1, 176, 17, 7)),
 ]
 
 
-@pytest.mark.parametrize("argv,digest,counts", SIMULATE_GOLDEN, ids=["m3", "m6", "m8", "m16"])
+@pytest.mark.parametrize("argv,digest,counts", SIMULATE_GOLDEN, ids=["m3", "m6", "m8", "m16", "m16-bsc"])
 def test_simulate_golden(capsys, tmp_path, argv, digest, counts):
     path = tmp_path / "sim.csv"
     code, stdout, _ = run(capsys, "simulate", *argv, "--out", str(path))
@@ -229,6 +234,17 @@ def test_simulate_golden(capsys, tmp_path, argv, digest, counts):
         f'"failures": {failures}, "miscorrections": {miscorrections}}}'
     )
     assert json.dumps(report) == want
+
+
+@pytest.mark.parametrize("mode,ok", [("bsc:5e-324", 20), ("bsc:1", 0)])
+def test_simulate_edge_flip_probabilities(capsys, tmp_path, mode, ok):
+    # a subnormal p makes every gap to the next flip inf; p = 1 flips every bit,
+    # which adds the all-ones codeword, so each trial is a miscorrection
+    argv = ["simulate", "-m", "3", "-l", "2", "--trials", "20", "--mode", mode, "--seed", "1"]
+    code, stdout, _ = run(capsys, *argv, "--out", str(tmp_path / "sim.csv"))
+    assert code == 0
+    report = json.loads(stdout)
+    assert (report["decoded_ok"], report["miscorrections"]) == (ok, 20 - ok)
 
 
 def test_simulate_bad_out_fails_before_any_trial(capsys, tmp_path, monkeypatch):

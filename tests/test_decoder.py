@@ -265,6 +265,45 @@ def test_random_error_bsc():
     assert e1 == e2
     assert random_error(params, "bsc", 9, flip_prob=0.0) == Word(16, 0)
     assert random_error(params, "bsc", 9, flip_prob=1.0).weight() == 16
+    # the edges of the gap draw: log1p(-1) is out of domain, a subnormal p gives an inf gap
+    big = CodeParams(16, 2)
+    for p in (0.0, 5e-324, 1e-300):
+        assert random_error(big, "bsc", 9, flip_prob=p) == Word(big.n, 0), p
+    assert random_error(big, "bsc", 9, flip_prob=1.0) == Word(big.n, (1 << big.n) - 1)
+
+
+def position_counts(errors, n):
+    counts = [0] * n
+    for e in errors:
+        for b in range(n):
+            counts[b] += e.value >> b & 1
+    return counts
+
+
+@pytest.mark.parametrize("m,l,p", [(8, 2, 0.003), (4, 2, 0.3)])
+def test_random_error_bsc_distribution(m, l, p):
+    # seeded, so the 5-sigma bounds cannot flake
+    params, draws = CodeParams(m, l), 5000
+    rng = random.Random(m)
+    errors = [random_error(params, "bsc", rng, flip_prob=p) for _ in range(draws)]
+    mean = sum(e.weight() for e in errors) / draws
+    assert abs(mean - params.n * p) < 5 * (params.n * p * (1 - p) / draws) ** 0.5, mean
+    counts = position_counts(errors, params.n)
+    assert min(counts) > 0  # every position is flipped
+    for count in counts:
+        assert abs(count - draws * p) < 5 * (draws * p * (1 - p)) ** 0.5, counts
+
+
+def test_random_error_fixed_weight_distribution():
+    params, draws, weight = CodeParams(8, 2), 2000, 3
+    rng = random.Random(8)
+    errors = [random_error(params, "fixed_weight", rng, weight=weight) for _ in range(draws)]
+    assert all(e.weight() == weight for e in errors)
+    counts = position_counts(errors, params.n)
+    assert min(counts) > 0  # every position gets hit
+    hit = weight / params.n  # chance that one position is among the weight chosen
+    for count in counts:
+        assert abs(count - draws * hit) < 5 * (draws * hit * (1 - hit)) ** 0.5, counts
 
 
 def test_random_error_shared_stream():

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import rmgb.groebner
 from rmgb.division import remainder
 from rmgb.groebner import (
     buchberger_complete,
@@ -130,12 +131,12 @@ def test_generator_family_is_groebner_under_lex_too():
         assert report.is_groebner and report.is_reduced
 
 
-def test_completion_divergence_guard():
+def test_completion_divergence_guard(monkeypatch):
+    monkeypatch.setattr(rmgb.groebner, "MAX_ADDITIONS", 0)
     with pytest.raises(RuntimeError):
         buchberger_complete(
             [parse_poly("x1*x2 + x2", 2), parse_poly("x2^2 + 1", 2)],
             GRLEX,
-            max_additions=0,
         )
 
 

@@ -32,7 +32,6 @@ from rmgb.rmcode import (
     encode,
     encode_bits,
     groebner_basis,
-    message_from_mask,
     message_monomials,
     monomial_positions,
     poly_to_word,
@@ -167,10 +166,14 @@ def test_encode_bits_matches_encode(m):
 
 
 def message_bits_by_monomials(params, seed):
-    """Reference draw: bit i of one getrandbits draw selects message monomial i."""
-    monos = message_monomials(params)
-    mask = random.Random(seed).getrandbits(len(monos))
-    chosen = frozenset(mono for i, mono in enumerate(monos) if mask >> i & 1)
+    """Reference draw: bit b of one n-bit getrandbits draw keeps the monomial of
+    word position n - b when that monomial has degree at most nu."""
+    draw = random.Random(seed).getrandbits(params.n)
+    chosen = frozenset(
+        mono
+        for j, mono in enumerate(monomial_positions(params.m))
+        if draw >> (params.n - 1 - j) & 1 and sum(mono) <= params.nu
+    )
     return poly_to_word(Poly._make(params.m, chosen)).value
 
 
@@ -185,6 +188,23 @@ def test_random_message_bits_matches_random_message(m, l):
     a, b = random.Random(7), random.Random(7)
     for _ in range(3):
         assert random_message_bits(params, a) == poly_to_word(random_message(params, b)).value
+
+
+@pytest.mark.parametrize("m,l", [(4, 2), (6, 3), (8, 6)])
+def test_random_message_bits_are_uniform(m, l):
+    # seeded, so the 5-sigma bound on each bit's count cannot flake
+    params, draws = CodeParams(m, l), 2000
+    rng = random.Random(m * 10 + l)
+    counts = [0] * params.n
+    for _ in range(draws):
+        bits = random_message_bits(params, rng)
+        for b in range(params.n):
+            counts[b] += bits >> b & 1
+    for b, count in enumerate(counts):
+        if b.bit_count() > params.nu:
+            assert count == 0, b  # never a bit above the code order
+        else:
+            assert abs(count - draws / 2) < 5 * (draws / 4) ** 0.5, (b, count)
 
 
 def raises_exactly(text):
@@ -234,19 +254,6 @@ def test_encode_bits_degree_error_reads_the_largest_popcount():
                     continue
                 with raises_exactly(f"message degree {degree} exceeds code order {params.nu}"):
                     encode_bits(bits, params)
-
-
-@pytest.mark.parametrize("m,l", [(1, 0), (3, 1), (4, 2), (6, 3), (16, 14)])
-def test_message_from_mask_selects_message_monomials(m, l):
-    params = CodeParams(m, l)
-    monos = message_monomials(params)
-    rng = random.Random(m + l)
-    for mask in [0, 1, (1 << len(monos)) - 1] + [rng.getrandbits(len(monos)) for _ in range(5)]:
-        chosen = frozenset(mono for i, mono in enumerate(monos) if mask >> i & 1)
-        assert message_from_mask(params, mask) == poly_to_word(Poly._make(m, chosen)).value
-    for mask in (-1, 1 << len(monos)):
-        with raises_exactly(f"message mask out of range for {len(monos)} message monomials"):
-            message_from_mask(params, mask)
 
 
 def test_decode_result_error_is_built_from_its_bits(monkeypatch):

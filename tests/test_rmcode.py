@@ -334,13 +334,14 @@ def test_random_message_deterministic():
     assert a == b
     assert all(e <= 1 for mono in a.support for e in mono)  # square-free
     assert max(map(sum, a.support), default=-1) <= params.nu
-    # the seeded stream: bit i of one getrandbits draw selects monomial i
+    # the seeded stream: word position j of one n-bit getrandbits draw, most
+    # significant first, selects monomial_positions(m)[j] if its degree is <= nu
     for m in range(1, 9):
         for l in range(0, m + 1):
             params = CodeParams(m, l)
-            monos = message_monomials(params)
-            mask = random.Random(m * 10 + l).getrandbits(len(monos))
-            want = Poly(m, [mono for i, mono in enumerate(monos) if (mask >> i) & 1])
+            draw = format(random.Random(m * 10 + l).getrandbits(params.n), f"0{params.n}b")
+            drawn = [mono for digit, mono in zip(draw, monomial_positions(m)) if digit == "1"]
+            want = Poly(m, [mono for mono in drawn if sum(mono) <= params.nu])
             assert random_message(params, random.Random(m * 10 + l)) == want, (m, l)
 
 
