@@ -139,14 +139,15 @@ def cmd_groebner_check(args) -> int:
 
 
 def _parse_mode(text: str):
-    kind, sep, value = text.partition(":")
-    if not sep:
-        raise ValueError(f"--mode must be fixed:W or bsc:P, got {text!r}")
-    if kind == "fixed":
-        return "fixed_weight", int(value), None
-    if kind == "bsc":
-        return "bsc", None, float(value)
-    raise ValueError(f"unknown mode {kind!r}, expected fixed or bsc")
+    kind, _, value = text.partition(":")
+    try:
+        if kind == "fixed":
+            return "fixed_weight", int(value), None
+        if kind == "bsc":
+            return "bsc", None, float(value)
+    except ValueError:
+        pass
+    raise ValueError(f"--mode must be fixed:W or bsc:P, got {text!r}")
 
 
 def cmd_simulate(args) -> int:

@@ -15,9 +15,9 @@ matches, that monomial moves to the remainder.
 The remainder generally depends on the divisor order unless the
 divisors form a Groebner basis.
 
-``divide`` packs ``f`` and the divisors into ints (see
-``polyring.MonomialPacking``), runs ``packed_remainder`` and unpacks the
-remainder; the quotients stay packed until read.  ``packed_remainder``
+``divide`` packs the divisors with ``polyring.pack_polys`` and ``f``
+with the same ``MonomialPacking``, runs ``packed_remainder`` and unpacks
+the remainder; the quotients stay packed until read.  ``packed_remainder``
 keeps the working polynomial as a set of packed monomials and takes each
 leading monomial from a max-heap with lazy deletion: every monomial that
 enters the set is pushed, a popped one that has since cancelled out is
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .polyring import DEFAULT_ORDER, MonomialPacking, Poly
+from .polyring import DEFAULT_ORDER, MonomialPacking, Poly, pack_polys
 
 
 @dataclass(frozen=True, init=False)
@@ -103,19 +103,11 @@ def packed_remainder(work: set, divisors, packing: MonomialPacking, quotients=No
 
 def divide(f: Poly, divisors, order: str = DEFAULT_ORDER) -> DivisionResult:
     """Divide ``f`` by an ordered sequence of nonzero divisors."""
-    divisors = list(divisors)
-    if not divisors:
-        raise ValueError("need at least one divisor")
-    for d in divisors:
-        if not isinstance(d, Poly) or d.m != f.m:
-            raise ValueError("divisors must be Poly in the same variables as f")
-        if not d:
-            raise ValueError("cannot divide by the zero polynomial")
-    packing = MonomialPacking(f.m, order)
-    quotients = [[] for _ in divisors]
-    rem = packed_remainder(
-        set(map(packing.pack, f.support)), [packing.split(d) for d in divisors], packing, quotients
-    )
+    packing, packed = pack_polys(divisors, order)
+    if not isinstance(f, Poly) or f.m != packing.m:
+        raise ValueError("f must be a Poly in the same variables as the divisors")
+    quotients = [[] for _ in packed]
+    rem = packed_remainder(set(map(packing.pack, f.support)), packed, packing, quotients)
     return DivisionResult(quotients, packing.poly(rem), packing)
 
 

@@ -1,14 +1,13 @@
 """S-polynomials, the Buchberger criterion, completion, and reduced bases.
 
 Each public function packs its polynomials into ints once when it
-starts (``polyring.MonomialPacking``: one int per monomial, ordered as
+starts, with ``polyring.pack_polys`` (one int per monomial, ordered as
 the monomial order), keeps each basis element as a packed
 ``(lead, tail)`` pair, reduces with ``division.packed_remainder`` and
 unpacks only the polynomials it returns.  Buchberger completion keeps
-its packed basis for the whole run, so it calls neither
-``s_polynomial`` nor ``division.divide`` per pair.  Completion and
-``check_basis`` share one pair rule, ``_update``: the Gebauer-Moeller
-criteria (J. Symbolic Comput. 6, 1988).
+its packed basis for the whole run.  Completion and ``check_basis``
+share one pair rule, ``_update``: the Gebauer-Moeller criteria
+(J. Symbolic Comput. 6, 1988).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .division import packed_remainder, remainder
-from .polyring import DEFAULT_ORDER, MonomialPacking, Poly
+from .polyring import DEFAULT_ORDER, MonomialPacking, Poly, pack_polys
 
 MAX_ADDITIONS = 10000  # S-remainders buchberger_complete may add before it gives up
 
@@ -29,9 +28,7 @@ def s_polynomial(f: Poly, g: Poly, order: str = DEFAULT_ORDER) -> Poly:
     ``(L / lm(f)) * f + (L / lm(g)) * g``; over GF(2) the minus sign of
     the textbook formula is a plus.  S(f, f) is zero.
     """
-    if not f or not g:
-        raise ValueError("s_polynomial requires nonzero polynomials")
-    packing, (a, b) = _pack([f, g], order)
+    packing, (a, b) = pack_polys([f, g], order)
     return packing.poly(_packed_s(a, b, packing))
 
 
@@ -46,17 +43,6 @@ def _packed_s(a, b, packing: MonomialPacking) -> set:
     for lead, tail in (a, b):
         packing.add_products(s, lcm - lead, tail)
     return s
-
-
-def _pack(polys, order: str):
-    """A packing for ``polys`` and each one's ``(lead, tail)`` pair."""
-    polys = list(polys)
-    if not polys or any(not p for p in polys):
-        raise ValueError("basis must be a nonempty collection of nonzero polynomials")
-    for p in polys:
-        polys[0]._check_compatible(p)
-    packing = MonomialPacking(polys[0].m, order)
-    return packing, [packing.split(p) for p in polys]
 
 
 def _update(packing: MonomialPacking, packed, active: list, pairs: list, h: int) -> list:
@@ -111,7 +97,7 @@ def check_basis(basis, order: str = DEFAULT_ORDER) -> BasisReport:
     e, g < e < h, with lm(e) | lm(g) evicted g; then k = e: (g, e) has
     j = e < h, and lcm(e, h) divides lcm(g, h) with i = e > g.
     """
-    packing, packed = _pack(basis, order)
+    packing, packed = pack_polys(basis, order)
     failing = _failing_pair(packing, packed)
     return BasisReport(failing is None, _is_reduced(packing, packed), failing)
 
@@ -128,7 +114,7 @@ def _failing_pair(packing: MonomialPacking, packed) -> Optional[tuple]:
 
 
 def is_groebner(basis, order: str = DEFAULT_ORDER) -> bool:
-    return _failing_pair(*_pack(basis, order)) is None
+    return _failing_pair(*pack_polys(basis, order)) is None
 
 
 def is_reduced(basis, order: str = DEFAULT_ORDER) -> bool:
@@ -137,7 +123,7 @@ def is_reduced(basis, order: str = DEFAULT_ORDER) -> bool:
     This is the usual reducedness condition for monic bases; over GF(2)
     every nonzero polynomial is monic.
     """
-    return _is_reduced(*_pack(basis, order))
+    return _is_reduced(*pack_polys(basis, order))
 
 
 def _is_reduced(packing: MonomialPacking, packed) -> bool:
@@ -167,9 +153,7 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER):
     reduced first in, first out, against the active set only.
     """
     basis = list(dict.fromkeys(g for g in generators if g))
-    if not basis:
-        raise ValueError("need at least one nonzero generator")
-    packing, packed = _pack(basis, order)
+    packing, packed = pack_polys(basis, order)
     active, pairs = [], []
     for h in range(len(basis)):
         divisors = _update(packing, packed, active, pairs, h)
@@ -197,10 +181,7 @@ def reduce_basis(basis, order: str = DEFAULT_ORDER):
     divides a monomial of an element, so this one pass leaves each kept
     element reduced.  Output is by descending leading monomial.
     """
-    polys = list(dict.fromkeys(p for p in basis if p))
-    if not polys:
-        raise ValueError("cannot reduce an empty basis")
-    packing, packed = _pack(polys, order)
+    packing, packed = pack_polys(dict.fromkeys(p for p in basis if p), order)
     packed.sort(key=lambda pair: pair[0])
     reduced = []
     for lead, tail in packed:

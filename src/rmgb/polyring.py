@@ -19,16 +19,18 @@ x1*x3 + x2^2 + x3^2, x1^2*x2^2*x3^2 + x1*x3 + x1]``, whose reduced basis is
 ``[x1, x2^2*x3^2 + x2^2 + x3^2]``.  Under lex so can ideals of A =
 GF(2)[X]/(X_i^2 - 1) (README, "Limits"); under grlex none has been seen to.
 
-Products and the Groebner toolkit (division, S-polynomials, completion
-and basis checks) pack each monomial into one int with a
-``MonomialPacking`` when a call starts and unpack their results when
-they return.  Each variable gets a field of ``FIELD_BITS`` =
-``EXPONENT_CAP.bit_length() + 1`` bits (4 for a cap of 4), with ``x1``
-in the highest field; under grlex the total degree sits above the
-fields, and under lex there is no degree field.  An exponent is at most
-the cap, so it leaves the top bit of its field, the guard bit, clear,
-and a product of two monomials, up to twice the cap per variable, still
-fits its field.  With that invariant:
+Products, ``Poly.leading``, ``format_poly`` and the Groebner toolkit
+(division, S-polynomials, completion and basis checks) work on monomials
+packed into ints by a ``MonomialPacking``, the one definition of each
+order, and unpack only their results.  The toolkit takes its lists of
+polynomials in through ``pack_polys``, which rejects an empty list, a
+zero element and mixed variable counts.  Each variable gets a field of
+``FIELD_BITS`` = ``EXPONENT_CAP.bit_length() + 1`` bits (4 for a cap of
+4), with ``x1`` in the highest field; under grlex the total degree sits
+above the fields, and under lex there is no degree field.  An exponent
+is at most the cap, so it leaves the top bit of its field, the guard
+bit, clear, and a product of two monomials, up to twice the cap per
+variable, still fits its field.  With that invariant:
 
 * int comparison is the monomial order;
 * a product is an int addition and a quotient a subtraction;
@@ -55,15 +57,6 @@ DEFAULT_ORDER = GRLEX
 EXPONENT_CAP = 4
 MAX_VARS = 16
 FIELD_BITS = EXPONENT_CAP.bit_length() + 1  # packed field width; see the module docstring
-
-
-def monomial_key(order: str):
-    """Return a sort key function realizing the given monomial order."""
-    if order == LEX:
-        return lambda mono: mono
-    if order == GRLEX:
-        return lambda mono: (sum(mono), mono)
-    raise ValueError(f"unknown monomial order {order!r}, expected one of {ORDERS}")
 
 
 class Poly:
@@ -142,7 +135,7 @@ class Poly:
         """Leading monomial.  Over GF(2) this is also the leading term."""
         if not self.support:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.support, key=monomial_key(order))
+        return max(self.support, key=MonomialPacking(self.m, order).pack)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -229,6 +222,20 @@ class MonomialPacking:
         return ValueError(f"exponent overflow: product {self.unpack(p)} exceeds cap {EXPONENT_CAP}")
 
 
+def pack_polys(polys, order: str):
+    """A packing for ``polys``, nonzero and in the same variables, and each
+    one's ``(lead, tail)`` pair; the error for a zero one names its position."""
+    polys = list(polys)
+    if not polys:
+        raise ValueError("need at least one polynomial")
+    for k, p in enumerate(polys, start=1):
+        Poly._check_compatible(polys[0], p)  # k = 1 checks polys[0] is a Poly too
+        if not p:
+            raise ValueError(f"polynomial {k} of {len(polys)} is zero; expected nonzero polynomials")
+    packing = MonomialPacking(polys[0].m, order)
+    return packing, [packing.split(p) for p in polys]
+
+
 _FACTOR_RE = re.compile(r"[xXyY](\d+)(?:\^(\d+))?")
 
 
@@ -272,7 +279,7 @@ def format_poly(f: Poly, order: str = DEFAULT_ORDER) -> str:
     if not f:
         return "0"
     terms = []
-    for mono in sorted(f.support, key=monomial_key(order), reverse=True):
+    for mono in sorted(f.support, key=MonomialPacking(f.m, order).pack, reverse=True):
         factors = []
         for i, e in enumerate(mono):
             if e == 1:

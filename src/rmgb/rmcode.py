@@ -234,7 +234,6 @@ def _generator(m: int, b: int) -> Poly:
     return word_to_poly(Word(1 << m, superset_xor(1 << b, m)))
 
 
-@lru_cache(maxsize=None)
 def groebner_basis(params: CodeParams):
     """The generators {g_I : |I| = l}, in descending X_I order.
 
@@ -244,9 +243,10 @@ def groebner_basis(params: CodeParams):
     return tuple(_generator(params.m, b) for b in subset_bits(params.m, (params.l,)))
 
 
-@lru_cache(maxsize=None)
 def square_relations(m: int):
     """The quotient relations X_i^2 - 1, one per variable."""
+    if not 1 <= m <= MAX_VARS:
+        raise ValueError(f"m must be in 1..{MAX_VARS}, got {m}")
     out = []
     for i in range(1, m + 1):
         sq = tuple(2 if j == i - 1 else 0 for j in range(m))
@@ -284,7 +284,6 @@ def poly_to_word(f: Poly) -> Word:
     return Word(len(index), int(digits, 2))
 
 
-@lru_cache(maxsize=None)
 def message_monomials(params: CodeParams):
     """Square-free monomials of degree at most nu, in descending grlex order.
 

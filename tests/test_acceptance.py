@@ -11,7 +11,7 @@ from rmgb.cli import main
 from rmgb.decoder import decode, syndrome
 from rmgb.division import divide, remainder
 from rmgb.groebner import buchberger_complete, check_basis, is_groebner, reduce_basis
-from rmgb.polyring import GRLEX, Poly, monomial_key, parse_poly
+from rmgb.polyring import GRLEX, Poly, parse_poly
 from rmgb.rmcode import (
     CodeParams,
     Word,
@@ -29,7 +29,7 @@ from rmgb.selfcheck import (
     verify_location_weights,
     verify_min_weight,
 )
-from tuple_toolkit import mono_divides
+from tuple_toolkit import mono_divides, monomial_key
 
 SWEEP_PARAMS = [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)]
 

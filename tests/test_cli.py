@@ -83,6 +83,12 @@ def test_basis_requires_l(capsys):
     assert code == 2 and "requires -l" in err
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_basis_h_rejects_m_below_one(capsys, m):
+    code, out, err = run(capsys, "basis", "H", "-m", m)
+    assert (code, out, err) == (2, "", f"error: m must be in 1..16, got {m}\n")
+
+
 def test_basis_reduced_check(capsys):
     code, out, _ = run(capsys, "basis", "-m", "3", "-l", "2", "reduced-check")
     assert code == 0
@@ -136,6 +142,14 @@ def test_divide_parse_error(capsys, tmp_path):
     gfile.write_text("x1 + oops\n")
     code, _, err = run(capsys, "divide", "-m", "3", "--divisors", str(gfile), "x1")
     assert code == 2 and "G.txt:1" in err
+
+
+def test_divide_by_zero_line_names_its_position(capsys, tmp_path):
+    gfile = tmp_path / "G.txt"
+    gfile.write_text("x1 + 1\n# a comment\n0\nx2\n")
+    code, out, err = run(capsys, "divide", "-m", "3", "--divisors", str(gfile), "x1")
+    assert (code, out) == (2, "")
+    assert err == "error: polynomial 2 of 3 is zero; expected nonzero polynomials\n"
 
 
 def test_groebner_check_positive_and_negative(capsys, tmp_path):
@@ -307,10 +321,11 @@ def test_simulate_zero_weight_all_clean(capsys, tmp_path):
     assert all(row.split(",")[2] == "clean" for row in rows)
 
 
-def test_simulate_bad_mode(capsys, tmp_path):
+@pytest.mark.parametrize("mode", ["burst:2", "fixed:", "fixed:x", "bsc:", "bsc:abc"])
+def test_simulate_bad_mode(capsys, tmp_path, mode):
     code, _, err = run(
         capsys, "simulate", "-m", "3", "-l", "2", "--trials", "5",
-        "--mode", "burst:2", "--seed", "0", "--out", str(tmp_path / "x.csv"),
+        "--mode", mode, "--seed", "0", "--out", str(tmp_path / "x.csv"),
     )
     assert code == 2 and "mode" in err
 

@@ -4,9 +4,9 @@ import re
 import pytest
 
 from rmgb.division import DivisionResult, divide, remainder
-from rmgb.polyring import GRLEX, LEX, Poly, monomial_key, parse_poly
+from rmgb.polyring import GRLEX, LEX, Poly, parse_poly
 from rmgb.rmcode import CodeParams, groebner_basis
-from tuple_toolkit import mono_divides
+from tuple_toolkit import mono_divides, monomial_key
 
 
 def G32():

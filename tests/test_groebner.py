@@ -4,7 +4,7 @@ import re
 import pytest
 
 import rmgb.groebner
-from rmgb.division import remainder
+from rmgb.division import divide, remainder
 from rmgb.groebner import (
     buchberger_complete,
     check_basis,
@@ -170,3 +170,33 @@ def test_check_basis_skips_pair_with_coprime_leads():
     report = check_basis(basis)
     assert report.is_groebner and report.is_reduced and report.failing_pair is None
     assert is_groebner(basis)
+
+
+# every entry point into the packed toolkit, called on one list of polynomials
+LIST_CALLS = {
+    "divide": lambda polys: divide(parse_poly("x1", 2), polys),
+    "s_polynomial": lambda polys: s_polynomial(*polys),
+    "check_basis": check_basis,
+    "is_groebner": is_groebner,
+    "is_reduced": is_reduced,
+    "buchberger_complete": buchberger_complete,
+    "reduce_basis": reduce_basis,
+}
+
+
+@pytest.mark.parametrize("name", LIST_CALLS)
+def test_entry_points_reject_empty_zero_and_mixed_lists(name):
+    call = LIST_CALLS[name]
+    x1, zero = parse_poly("x1", 2), Poly(2)
+    if name != "s_polynomial":  # takes exactly two polynomials, never none
+        with pytest.raises(ValueError, match="^need at least one polynomial$"):
+            call([])
+    with pytest.raises(ValueError, match="^variable count mismatch: 2 vs 3$"):
+        call([x1, parse_poly("x1", 3)])
+    if name in ("buchberger_complete", "reduce_basis"):  # these drop zero elements
+        assert call([zero, x1]) == (x1,)
+        with pytest.raises(ValueError, match="^need at least one polynomial$"):
+            call([zero])
+    else:
+        with pytest.raises(ValueError, match="^polynomial 2 of 2 is zero; expected nonzero polynomials$"):
+            call([x1, zero])

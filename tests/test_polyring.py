@@ -10,10 +10,9 @@ from rmgb.polyring import (
     MonomialPacking,
     Poly,
     format_poly,
-    monomial_key,
     parse_poly,
 )
-from tuple_toolkit import mono_div, mono_divides, mono_lcm, mono_mul, mul
+from tuple_toolkit import mono_div, mono_divides, mono_lcm, mono_mul, monomial_key, mul
 
 
 def mono_cmp(a, b, order=GRLEX):
@@ -223,6 +222,17 @@ def test_packing_agrees_with_exponent_tuples():
                     assert pa + pb == packing.pack(mono_mul(a, b))
                 if mono_divides(a, b):
                     assert pb - pa == packing.pack(mono_div(b, a))
+            # Poly.leading and format_poly order terms by the packing; each
+            # polynomial holds permutations of one monomial, so degrees tie
+            for _ in range(50):
+                base = [rng.randint(0, EXPONENT_CAP) for _ in range(m)]
+                terms = [tuple(rng.sample(base, m)) for _ in range(4)]
+                terms.append(tuple(rng.randint(0, EXPONENT_CAP) for _ in range(m)))
+                f = Poly(m, terms)
+                want = sorted(f.support, key=key, reverse=True)
+                if f:
+                    assert f.leading(order) == want[0]
+                    assert format_poly(f, order) == " + ".join(format_poly(Poly(m, [t])) for t in want)
             if m > 5:
                 continue
             # Poly.__mul__ on packed ints: the product, or the overflow error of

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rmgb.groebner import ideal_member
-from rmgb.polyring import GRLEX, Poly, monomial_key, parse_poly
+from rmgb.polyring import GRLEX, Poly, parse_poly
 from rmgb.rmcode import (
     CodeParams,
     Word,
@@ -25,7 +25,7 @@ from rmgb.rmcode import (
     subset_bit,
     word_to_poly,
 )
-from tuple_toolkit import monomial_subset
+from tuple_toolkit import monomial_key, monomial_subset
 
 
 def test_params_derived_values():
@@ -163,6 +163,9 @@ def test_groebner_basis_listing_order():
 def test_square_relations():
     assert [str(h) for h in square_relations(1)] == ["x1^2 + 1"]
     assert [str(h) for h in square_relations(3)] == ["x1^2 + 1", "x2^2 + 1", "x3^2 + 1"]
+    for m in (0, -1, 17):
+        with pytest.raises(ValueError, match=f"^m must be in 1..16, got {m}$"):
+            square_relations(m)
 
 
 def test_jennings_basis_members_and_size():

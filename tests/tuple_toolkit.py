@@ -9,6 +9,10 @@ equal to theirs.  ``mono_mul``, ``mono_divides`` and ``mul`` (the old
 ``Poly.__mul__``) are the tuple rules that ``rmgb.polyring`` ran before
 ``Poly.__mul__`` packed its monomials; ``tests/test_polyring.py`` pins
 the packed product to ``mul``, overflow errors included.
+``monomial_key`` is the lex and grlex order as tuple sort keys, which
+``rmgb.polyring`` used before ``MonomialPacking`` became the one
+definition of each order; ``tests/test_polyring.py`` pins the packing,
+``Poly.leading`` and ``format_poly`` to it.
 
 ``subset_monomial`` and ``monomial_subset`` are the exponent-tuple form of
 the subset map that ``rmgb.rmcode`` keeps on ``Word.value`` bits
@@ -22,7 +26,16 @@ from collections import deque
 
 from rmgb.division import DivisionResult
 from rmgb.groebner import BasisReport
-from rmgb.polyring import DEFAULT_ORDER, EXPONENT_CAP, Poly, monomial_key
+from rmgb.polyring import DEFAULT_ORDER, EXPONENT_CAP, GRLEX, LEX, ORDERS, Poly
+
+
+def monomial_key(order: str):
+    """Return a sort key function realizing the given monomial order."""
+    if order == LEX:
+        return lambda mono: mono
+    if order == GRLEX:
+        return lambda mono: (sum(mono), mono)
+    raise ValueError(f"unknown monomial order {order!r}, expected one of {ORDERS}")
 
 
 def mono_mul(a, b):
