@@ -52,7 +52,8 @@ assert ml.codeword == result.codeword and not ml.is_tie
 print("agrees with maximum-likelihood brute force at distance", ml.distance)
 
 # decode reads a single error location for l = 2 straight off the
-# syndrome's degree-one part (and runs Reed's majority logic for l >= 3).
+# syndrome's degree-one part (and splits the word into its (u | u + v)
+# halves, one variable at a time, for l >= 3).
 # The paper's search over candidate location sets gives the same answer.
 assert decode_search(v, params) == result
 print("the remainder search over candidate locations returns the same result")

@@ -29,9 +29,20 @@ it may try every set of up to t of the candidates, so it refuses the
 ``decode_search`` stays as the reference the tests compare it with.
 For l = 2 (t = 1) the one location is read off the syndrome: the
 degree-one part of its y-basis coefficients names the variables of X_I.
-For l >= 3 Reed's majority-logic decoder (Reed 1954; MacWilliams and
-Sloane, ch. 13) finds the nearest codeword on ``Word.value``.  For
-l <= 1, t = 0 and every nonzero syndrome is a failure.
+Otherwise ``_nearest`` walks down the radical filtration one variable at
+a time.  With y1 = X1 - 1, M^l(A_m) = M^l(A_{m-1}) + y1 M^(l-1)(A_{m-1}),
+and a + y1 b = (a + b) + X1 b.  So on ``Word.value`` a codeword's half
+with X1's bit clear is u = a + b, in M^(l-1)(A_{m-1}), and its other
+half is u + v with v = a in M^l(A_{m-1}): the (u | u + v) construction
+(MacWilliams and Sloane, ch. 13 §3; Dumer, IEEE Trans. IT 50(5), 2004).
+The XOR of the received halves is v plus an error no heavier than the
+word's, and M^l(A_{m-1}) has the same distance 2^l, so v is decoded
+first at the same radius t.  The two halves less v are then two copies
+of u whose errors weigh at most t = 2^(l-1) - 1 together, so one of them
+weighs at most 2^(l-2) - 1, the radius of M^(l-1)(A_{m-1}); the first
+copy whose decoding lies within t of the whole word is taken.  A
+codeword within t is unique, so the answer is exact, and a word beyond
+t of every codeword fails.
 
 Both decoders only find the error bits, or None, and one rule reads the
 result off them.  No error, or one heavier than t, is a failure; a zero
@@ -58,7 +69,6 @@ from .polyring import Poly
 from .rmcode import (
     CodeParams,
     Word,
-    _half_masks,
     _low_degree_mask,
     bit_subset,
     codeword_values,
@@ -67,7 +77,6 @@ from .rmcode import (
     set_bits,
     subset_bit,
     subset_bits,
-    subset_xor,
     superset_xor,
     word_to_poly,
 )
@@ -117,16 +126,16 @@ def decode(v: Word, params: CodeParams) -> DecodeResult:
 
     Returns exactly what ``decode_search`` returns.  A syndrome of weight
     at most t is the error itself.  Past that, the one location read off
-    the syndrome (l = 2) or Reed's decoding (l >= 3) is the error, and
-    ``_result`` accepts it when it lies within distance t.
+    the syndrome (l = 2) or the word less its nearest codeword is the
+    error, and ``_result`` accepts it when it lies within distance t.
     """
     error = syndrome(v, params).value
     if error.bit_count() > params.t:
         if params.l == 2:
             error = _single_location(error, params.m)
-        elif params.l >= 3:
-            error = _reed_error(v.value, params)
-        # for l <= 1, t = 0: the nonzero syndrome stays the error and fails as too heavy
+        else:
+            codeword = _nearest(v.value, params.m, params.nu)
+            error = None if codeword is None else v.value ^ codeword
     return _result(v, error, params)
 
 
@@ -165,44 +174,34 @@ def _single_location(syndrome_bits: int, m: int) -> Optional[int]:
     return 1 << sum(1 << i for i in range(m) if sigma >> (1 << i) & 1)
 
 
-def _reed_error(value: int, params: CodeParams) -> int:
-    """The word minus its decoding by Reed's majority logic for RM(nu, m).
+def _nearest(y: int, k: int, r: int) -> Optional[int]:
+    """The codeword of RM(r, k) within t = (2^(k-r) - 1) // 2 of the 2^k-bit y, or None.
 
-    Degree by degree from nu down, the coefficient of each X_J, |J| = d,
-    in the message of the residual word is the XOR of its bits over any
-    coset of the span of J's points.  The partial superset-XOR over J's
-    variables leaves the 2^(m-d) check sums of the disjoint cosets at
-    the bits q with q & J = 0, and each error spoils at most one of
-    them.  A majority of ones sets the coefficient, and the encoding of
-    the level's coefficients is removed from the residual.  Within
-    distance t of a codeword every majority is right, and what is left
-    is the error.
+    RM(r, k) is M^(k-r) in k variables, and this is the (u | u + v)
+    recursion of the module docstring.  It is bounded-distance decoding:
+    a word farther than t from every codeword gives None, even where a
+    nearest codeword exists.
     """
-    m = params.m
-    half_masks = _half_masks(m)
-    full = (1 << params.n) - 1
-    residual = value
-    for d in range(params.nu, 0, -1):
-        majority = 1 << (m - d - 1)  # half of the 2^(m-d) votes
-        coefficients = 0
-        # Depth first over J as increasing variable indices, so a prefix's
-        # partial transform is shared by every J that extends it.  Entries:
-        # (next index, variables still to add, transform, vote bits, bit index of X_J).
-        stack = [(0, d, residual, full, 0)]
-        while stack:
-            start, left, part, votes, j = stack.pop()
-            if left == 1:
-                for step, mask in half_masks[start:]:
-                    if ((part ^ (part >> step)) & votes & mask).bit_count() > majority:
-                        coefficients |= 1 << (j | step)
-                continue
-            for i in range(start, m - left + 1):
-                step, mask = half_masks[i]
-                stack.append((i + 1, left - 1, part ^ ((part >> step) & mask), votes & mask, j | step))
-        residual ^= subset_xor(coefficients, m)
-    if residual.bit_count() > 1 << (m - 1):  # the constant term
-        residual ^= full
-    return residual
+    if r >= k - 1:  # t = 0: every word, or every even-weight one, is a codeword
+        return y if r == k or not y.bit_count() & 1 else None
+    t = ((1 << (k - r)) - 1) // 2
+    half = 1 << (k - 1)
+    weight = y.bit_count()
+    if weight <= t:
+        return 0
+    if 2 * half - weight <= t:
+        return (1 << 2 * half) - 1
+    if r == 0:
+        return None
+    lo, hi = y & ((1 << half) - 1), y >> half
+    v = _nearest(lo ^ hi, k - 1, r - 1)
+    if v is None:
+        return None
+    for copy in (lo, hi ^ v):
+        u = _nearest(copy, k - 1, r)
+        if u is not None and (lo ^ u).bit_count() + (hi ^ v ^ u).bit_count() <= t:
+            return u | (u ^ v) << half
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -149,8 +149,9 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER):
     contains the generators.  Raises RuntimeError if more than
     ``MAX_ADDITIONS`` elements get added, as a divergence guard.
 
-    Each element, generators included, enters by ``_update``.  Pairs are
-    reduced first in, first out, against the active set only.
+    Each element, generators included, enters by ``_update``.  The pair
+    of least ``(lcm, i, j)`` is reduced first (the normal strategy,
+    Buchberger 1985), against the active set only.
     """
     basis = list(dict.fromkeys(g for g in generators if g))
     packing, packed = pack_polys(basis, order)
@@ -159,7 +160,7 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER):
         divisors = _update(packing, packed, active, pairs, h)
     additions = 0
     while pairs:
-        _, i, j = pairs.pop(0)
+        _, i, j = pairs.pop(pairs.index(min(pairs)))
         r = packed_remainder(_packed_s(packed[i], packed[j], packing), divisors, packing)
         if not r:
             continue

@@ -156,6 +156,17 @@ def test_completion_product_above_exponent_cap_raises():
         buchberger_complete(gens)
 
 
+def test_lex_completion_of_an_ideal_of_a_stays_under_the_cap():
+    # the pair of least lcm is reduced first; oldest first, this ideal of A
+    # reached the product x4^5 though its reduced basis has exponents <= 2
+    gens = list(square_relations(4)) + [parse_poly(text, 4) for text in (
+        "x1*x3*x4 + x2*x4 + x1 + x2", "x1*x2*x3 + x1*x3 + x2*x3 + x2 + x3 + x4", "x1*x2*x3 + x1")]
+    completed = buchberger_complete(gens, LEX)
+    assert check_basis(completed, LEX).is_groebner
+    want = tuple(parse_poly(text, 4) for text in ("x1^2 + 1", "x2 + 1", "x3 + 1", "x4 + 1"))
+    assert reduce_basis(completed, LEX) == want
+
+
 def test_completion_skips_pair_with_coprime_leads():
     # the leads x1^4 and x2^4 are coprime, so the S-polynomial reduces to zero
     # (product criterion): it is never formed, and its x2^5 never overflows
