@@ -51,9 +51,9 @@ ml = ml_decode_bruteforce(v, params)
 assert ml.codeword == result.codeword and not ml.is_tie
 print("agrees with maximum-likelihood brute force at distance", ml.distance)
 
-# decode reads a single error location for l = 2 straight off the
-# syndrome's degree-one part (and splits the word into its (u | u + v)
-# halves, one variable at a time, for l >= 3).
+# decode computes no syndrome: at l = 2 the code is the extended Hamming
+# code, and the one flipped bit is read off the word's parity on each
+# variable's half (for l >= 3 the (u | u + v) recursion ends there).
 # The paper's search over candidate location sets gives the same answer.
 assert decode_search(v, params) == result
 print("the remainder search over candidate locations returns the same result")

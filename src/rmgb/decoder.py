@@ -26,23 +26,29 @@ it may try every set of up to t of the candidates, so it refuses the
 (m, l) where those number more than ``SEARCH_LIMIT``.
 
 ``decode`` returns the same result in time polynomial in n, and
-``decode_search`` stays as the reference the tests compare it with.
-For l = 2 (t = 1) the one location is read off the syndrome: the
-degree-one part of its y-basis coefficients names the variables of X_I.
-Otherwise ``_nearest`` walks down the radical filtration one variable at
-a time.  With y1 = X1 - 1, M^l(A_m) = M^l(A_{m-1}) + y1 M^(l-1)(A_{m-1}),
-and a + y1 b = (a + b) + X1 b.  So on ``Word.value`` a codeword's half
-with X1's bit clear is u = a + b, in M^(l-1)(A_{m-1}), and its other
-half is u + v with v = a in M^l(A_{m-1}): the (u | u + v) construction
-(MacWilliams and Sloane, ch. 13 §3; Dumer, IEEE Trans. IT 50(5), 2004).
-The XOR of the received halves is v plus an error no heavier than the
-word's, and M^l(A_{m-1}) has the same distance 2^l, so v is decoded
-first at the same radius t.  The two halves less v are then two copies
-of u whose errors weigh at most t = 2^(l-1) - 1 together, so one of them
-weighs at most 2^(l-2) - 1, the radius of M^(l-1)(A_{m-1}); the first
-copy whose decoding lies within t of the whole word is taken.  A
-codeword within t is unique, so the answer is exact, and a word beyond
-t of every codeword fails.
+``decode_search`` stays as the reference the tests compare it with.  It
+computes no syndrome: for every l, ``_nearest`` walks down the radical
+filtration one variable at a time.  With y1 = X1 - 1,
+M^l(A_m) = M^l(A_{m-1}) + y1 M^(l-1)(A_{m-1}), and a + y1 b = (a + b) + X1 b.
+So on ``Word.value`` a codeword's half with X1's bit clear is u = a + b,
+in M^(l-1)(A_{m-1}), and its other half is u + v with v = a in
+M^l(A_{m-1}): the (u | u + v) construction (MacWilliams and Sloane,
+ch. 13 §3; Dumer, IEEE Trans. IT 50(5), 2004).  The XOR of the received
+halves is v plus an error no heavier than the word's, and M^l(A_{m-1})
+has the same distance 2^l, so v is decoded first at the same radius t.
+The two halves less v are then two copies of u whose errors weigh at
+most t = 2^(l-1) - 1 together, so one of them weighs at most
+2^(l-2) - 1, the radius of M^(l-1)(A_{m-1}); the first copy whose
+decoding lies within t of the whole word is taken.  A codeword within t
+is unique, so the answer is exact, and a word beyond t of every codeword
+fails.  The recursion stops at l = 2, t = 1: M^2 in k variables is the
+extended Hamming code, and its dual M^(k-1) is spanned by the all-ones
+word and, per variable, the half of the bits b that contain it.  So a
+codeword has even weight on the word and on each half, and a word of odd
+weight lies at distance 1 from the codeword that differs in the bit
+whose variables are its odd halves.  Folding the word onto itself one
+variable at a time gives those parities in about 2n bit operations: the
+upper half's is that variable's, and the halves' XOR keeps the rest.
 
 Both decoders only find the error bits, or None, and one rule reads the
 result off them.  No error, or one heavier than t, is a failure; a zero
@@ -53,14 +59,14 @@ and ``corrected_low`` when none has.  So status and locations agree
 between the decoders by construction; only the error search differs.
 For errors of weight at most t the recovered codeword is exact.  A
 ``DecodeResult`` holds the error as bits, and builds its ``error``
-polynomial only when that is first read.
+polynomial and its chosen locations only when they are first read.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb, log, log1p
 from typing import Optional
@@ -77,7 +83,6 @@ from .rmcode import (
     set_bits,
     subset_bit,
     subset_bits,
-    superset_xor,
     word_to_poly,
 )
 
@@ -89,10 +94,14 @@ FAILURE = "failure"
 SEARCH_LIMIT = 10**7  # most candidate sets decode_search may have to try
 
 
-def syndrome(v: Word, params: CodeParams) -> Word:
-    """Remainder of the received word's polynomial modulo the basis, as a word."""
+def _check_length(v: Word, params: CodeParams) -> None:
     if v.n != params.n:
         raise ValueError(f"word length {v.n} does not match code length {params.n}")
+
+
+def syndrome(v: Word, params: CodeParams) -> Word:
+    """Remainder of the received word's polynomial modulo the basis, as a word."""
+    _check_length(v, params)
     return Word(v.n, remainder_bits(v.value, params))
 
 
@@ -111,7 +120,7 @@ class DecodeResult:
     status: str
     codeword: Optional[Word]
     error_bits: Optional[int]  # the error's coefficient bits; None on failure
-    chosen_locations: Optional[tuple] = None  # the accepted set S, omega path only
+    params: CodeParams = field(repr=False, compare=False)  # the code decoded in
 
     @cached_property
     def error(self) -> Optional[Poly]:
@@ -120,67 +129,49 @@ class DecodeResult:
             return None
         return word_to_poly(Word(self.codeword.n, self.error_bits))
 
+    @cached_property
+    def chosen_locations(self) -> Optional[tuple]:
+        """The accepted set S on the omega path, else None; built on the first read.
+
+        In ``_candidate_locations`` order, which is ``rmcode.subset_bits``':
+        by size descending, then descending bit within one size.
+        """
+        if self.status != CORRECTED_OMEGA:
+            return None
+        high = self.error_bits & ~_low_degree_mask(self.params.m, self.params.l)
+        bits = sorted(set_bits(high), key=int.bit_count, reverse=True)  # stable: highest first within a size
+        return tuple([bit_subset(self.params.m, b) for b in bits])
+
 
 def decode(v: Word, params: CodeParams) -> DecodeResult:
     """Correct up to t errors in the received word, in time polynomial in n.
 
-    Returns exactly what ``decode_search`` returns.  A syndrome of weight
-    at most t is the error itself.  Past that, the one location read off
-    the syndrome (l = 2) or the word less its nearest codeword is the
-    error, and ``_result`` accepts it when it lies within distance t.
+    Returns exactly what ``decode_search`` returns.  For every l the
+    word less its codeword within t, found by ``_nearest``, is the
+    error; a word with no codeword within t fails.
     """
-    error = syndrome(v, params).value
-    if error.bit_count() > params.t:
-        if params.l == 2:
-            error = _single_location(error, params.m)
-        else:
-            codeword = _nearest(v.value, params.m, params.nu)
-            error = None if codeword is None else v.value ^ codeword
-    return _result(v, error, params)
+    _check_length(v, params)
+    codeword = _nearest(v.value, params.m, params.nu)
+    return _result(v, None if codeword is None else v.value ^ codeword, params)
 
 
 def _result(v: Word, error: Optional[int], params: CodeParams) -> DecodeResult:
-    """The one exit of both decoders: v less ``error``, by the module's rule.
-
-    The chosen locations come in ``_candidate_locations`` order, which is
-    ``rmcode.subset_bits``': by size descending, then descending bit
-    within one size.
-    """
+    """The one exit of both decoders: v less ``error``, by the module's rule."""
     if error == 0:
-        return DecodeResult(CLEAN, v, 0)
+        return DecodeResult(CLEAN, v, 0, params)
     if error is None or error.bit_count() > params.t:
-        return DecodeResult(FAILURE, None, None)
-    codeword = Word(v.n, v.value ^ error)
-    high = error & ~_low_degree_mask(params.m, params.l)
-    if not high:
-        return DecodeResult(CORRECTED_LOW, codeword, error)
-    bits = sorted(set_bits(high), key=int.bit_count, reverse=True)  # stable: highest first within a size
-    return DecodeResult(CORRECTED_OMEGA, codeword, error, tuple([bit_subset(params.m, b) for b in bits]))
-
-
-def _single_location(syndrome_bits: int, m: int) -> Optional[int]:
-    """Error bits of the one location with this syndrome for l = 2, else None.
-
-    Below degree two the y-basis coefficients of X_I are those of 1 and
-    of the y_i for i in I.  So ``superset_xor`` of the syndrome holds the
-    parity of the number of errors at bit 0 and, at the bit of each y_i,
-    the parity of the number of locations that contain i.  The syndrome
-    is that of one location X_I exactly when bit 0 is set, and then I is
-    the set of those i.
-    """
-    sigma = superset_xor(syndrome_bits, m)
-    if not sigma & 1:
-        return None
-    return 1 << sum(1 << i for i in range(m) if sigma >> (1 << i) & 1)
+        return DecodeResult(FAILURE, None, None, params)
+    status = CORRECTED_OMEGA if error & ~_low_degree_mask(params.m, params.l) else CORRECTED_LOW
+    return DecodeResult(status, Word(v.n, v.value ^ error), error, params)
 
 
 def _nearest(y: int, k: int, r: int) -> Optional[int]:
     """The codeword of RM(r, k) within t = (2^(k-r) - 1) // 2 of the 2^k-bit y, or None.
 
     RM(r, k) is M^(k-r) in k variables, and this is the (u | u + v)
-    recursion of the module docstring.  It is bounded-distance decoding:
-    a word farther than t from every codeword gives None, even where a
-    nearest codeword exists.
+    recursion of the module docstring, with its extended-Hamming leaf.
+    It is bounded-distance decoding: a word farther than t from every
+    codeword gives None, even where a nearest codeword exists.
     """
     if r >= k - 1:  # t = 0: every word, or every even-weight one, is a codeword
         return y if r == k or not y.bit_count() & 1 else None
@@ -193,6 +184,16 @@ def _nearest(y: int, k: int, r: int) -> Optional[int]:
         return (1 << 2 * half) - 1
     if r == 0:
         return None
+    if r == k - 2:  # t = 1: the extended Hamming code, read off its half-parities
+        w, flip, size = y, 0, half
+        while size:  # one variable per pass; the first pass's parity ends at bit k - 1
+            top = w >> size
+            flip = flip << 1 | top.bit_count() & 1
+            w = (w & ((1 << size) - 1)) ^ top
+            size >>= 1
+        if weight & 1:
+            return y ^ 1 << flip
+        return None if flip else y
     lo, hi = y & ((1 << half) - 1), y >> half
     v = _nearest(lo ^ hi, k - 1, r - 1)
     if v is None:
@@ -267,8 +268,7 @@ def ml_decode_bruteforce(v: Word, params: CodeParams) -> MLResult:
     Returns the first codeword at minimum Hamming distance in the
     enumeration order, flagging whether another codeword ties it.
     """
-    if v.n != params.n:
-        raise ValueError(f"word length {v.n} does not match code length {params.n}")
+    _check_length(v, params)
     values = codeword_values(params)
     dists = [(c ^ v.value).bit_count() for c in values]
     best = min(dists)

@@ -30,6 +30,7 @@ import pytest
 
 from rmgb.decoder import CLEAN, CORRECTED_LOW, CORRECTED_OMEGA, FAILURE, _result, decode, syndrome
 from rmgb.rmcode import CodeParams, Word, _half_masks, encode_bits, random_message_bits, subset_xor
+from test_decode_equivalence import assert_reading
 
 SWEPT = [(m, 2) for m in range(2, 13)] + [(5, 3), (6, 3)]
 STATUSES = {CLEAN, CORRECTED_LOW, CORRECTED_OMEGA, FAILURE}
@@ -130,6 +131,7 @@ def test_words_at_every_distance_end_defined(m, l):
         v = Word(params.n, random_codeword(params, rng) ^ error)
         result = decode(v, params)
         assert_defined(result, v, params)
+        assert_reading(result, params)
         if weight <= params.t:
             assert result.status != FAILURE
         if weight < params.n:
@@ -160,6 +162,7 @@ def test_decode_matches_reed_at_m16_l3():
     result = decode(v, params)
     assert result.codeword.value == c
     assert result == reed_decode(v, params)
+    assert_reading(result, params)
 
 
 def test_m16_every_l_in_bounded_time():
@@ -176,6 +179,8 @@ def test_m16_every_l_in_bounded_time():
         spent += time.perf_counter() - start
         assert results[0].codeword == Word(params.n, c), l
         assert_defined(results[1], far, params)
+        for result in results:
+            assert_reading(result, params)
     assert spent < 2.0, spent
 
 

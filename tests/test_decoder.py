@@ -8,6 +8,7 @@ from rmgb.decoder import (
     CORRECTED_LOW,
     CORRECTED_OMEGA,
     FAILURE,
+    _nearest,
     decode,
     decode_search,
     hat_set,
@@ -20,11 +21,14 @@ from rmgb.polyring import GRLEX, Poly, parse_poly
 from rmgb.rmcode import (
     CodeParams,
     Word,
+    codeword_values,
     codewords,
     encode,
+    encode_bits,
     groebner_basis,
     poly_to_word,
     random_message,
+    random_message_bits,
     word_to_poly,
 )
 from tuple_toolkit import subset_monomial
@@ -208,6 +212,42 @@ def test_decode_matches_search_on_double_error():
     v = Word.from_string("11000000")
     assert decode(v, P32) == decode_search(v, P32)
     assert decode(v, P32).status == FAILURE
+
+
+def test_decode_length_mismatch():
+    with pytest.raises(ValueError, match="^word length 4 does not match code length 8$"):
+        decode(Word(4, 0), P32)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_extended_hamming_leaf_matches_brute_force(k):
+    # RM(k - 2, k) is M^2 in k variables: every word, 2^16 of them at k = 4
+    params = CodeParams(k, 2)
+    code = set(codeword_values(params))
+    for y in range(1 << params.n):
+        near = [c for c in (y, *(y ^ 1 << b for b in range(params.n))) if c in code]
+        assert _nearest(y, k, k - 2) == (near[0] if near else None), y
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_l2_fails_exactly_on_even_words_with_nonzero_syndrome(m):
+    # an odd-weight word lies at distance 1 from the extended Hamming code
+    params = CodeParams(m, 2)
+    if m <= 4:
+        words = [Word(params.n, value) for value in range(1 << params.n)]
+    else:
+        rng = random.Random(f"l2 {m}")
+        words = []
+        for k in range(60):
+            c = encode_bits(random_message_bits(params, rng), params).value
+            if k % 4 == 3:
+                c ^= rng.getrandbits(params.n)
+            else:  # a codeword, or one or two bits flipped
+                c ^= sum(1 << b for b in rng.sample(range(params.n), k % 4))
+            words.append(Word(params.n, c))
+    for v in words:
+        failed = decode(v, params).status == FAILURE
+        assert failed == (v.weight() % 2 == 0 and syndrome(v, params).value != 0), (m, v.value)
 
 
 def test_ml_bruteforce_golden():
