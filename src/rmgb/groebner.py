@@ -1,13 +1,13 @@
 """S-polynomials, the Buchberger criterion, completion, and reduced bases.
 
-Each public function packs its polynomials into ints once when it
-starts, with ``polyring.pack_polys`` (one int per monomial, ordered as
-the monomial order), keeps each basis element as a packed
-``(lead, tail)`` pair, reduces with ``division.packed_remainder`` and
-unpacks only the polynomials it returns.  Buchberger completion keeps
-its packed basis for the whole run.  Completion and ``check_basis``
-share one pair rule, ``_update``: the Gebauer-Moeller criteria
-(J. Symbolic Comput. 6, 1988).
+Each public function takes its polynomials in through
+``polyring.pack_polys``, which packs each one once per order (one int
+per monomial, ordered as the monomial order) into a ``(lead, tail)``
+pair that the polynomial remembers.  It reduces with
+``division.packed_remainder`` and unpacks only the polynomials it
+returns.  Buchberger completion keeps its packed basis for the whole
+run.  Completion and ``check_basis`` share one pair rule, ``_update``:
+the Gebauer-Moeller criteria (J. Symbolic Comput. 6, 1988).
 """
 
 from __future__ import annotations
@@ -60,16 +60,21 @@ def _update(packing: MonomialPacking, packed, active: list, pairs: list, h: int)
     """
     guard, lcm = packing.guard, packing.lcm
     hl = packed[h][0]
-    new = [(lcm(packed[g][0], hl), g) for g in active]
-    kept = []  # coprime pairs stay in here, to prune the others
-    for k, (lc, g) in enumerate(new):
+    new = [lcm(packed[g][0], hl) for g in active]  # a dropped pair's entry becomes None
+    kept = []  # lcms of the new pairs kept so far; coprime ones stay in here, to prune the others
+    for k, (g, lc) in enumerate(zip(active, new)):
         bound = lc | guard
-        if lc == packed[g][0] + hl or not any(
-                (bound - other) & guard == guard for other, _ in (*new[k + 1:], *kept)):
-            kept.append((lc, g))
+        # loops, not any() over a generator: this test is the update's inner loop
+        for other in () if lc == packed[g][0] + hl else new[k + 1:] + kept:
+            if (bound - other) & guard == guard:
+                new[k] = None
+                break
+        else:
+            kept.append(lc)
+    # lcm(i, h) of an active i is a hit in the packing's lcm memo, filled just above
     pairs[:] = [(lc, i, j) for lc, i, j in pairs if ((lc | guard) - hl) & guard != guard
                 or lc == lcm(packed[i][0], hl) or lc == lcm(packed[j][0], hl)]
-    pairs += [(lc, g, h) for lc, g in kept if lc != packed[g][0] + hl]
+    pairs += [(lc, g, h) for lc, g in zip(new, active) if lc is not None and lc != packed[g][0] + hl]
     active[:] = [g for g in active if ((packed[g][0] | guard) - hl) & guard != guard] + [h]
     return [packed[g] for g in active]
 
@@ -127,9 +132,10 @@ def is_reduced(basis, order: str = DEFAULT_ORDER) -> bool:
 
 
 def _is_reduced(packing: MonomialPacking, packed) -> bool:
+    guard = packing.guard
     for i, (lead, tail) in enumerate(packed):
         for j, (other, _) in enumerate(packed):
-            if i != j and any(packing.divides(other, mono) for mono in (lead, *tail)):
+            if i != j and any(((mono | guard) - other) & guard == guard for mono in (lead, *tail)):
                 return False
     return True
 

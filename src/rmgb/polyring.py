@@ -21,8 +21,9 @@ GF(2)[X]/(X_i^2 - 1) (README, "Limits"); under grlex none has been seen to.
 
 Products, ``Poly.leading``, ``format_poly`` and the Groebner toolkit
 (division, S-polynomials, completion and basis checks) work on monomials
-packed into ints by a ``MonomialPacking``, the one definition of each
-order, and unpack only their results.  The toolkit takes its lists of
+packed into ints by ``shared_packing(m, order)``, the one
+``MonomialPacking`` per (m, order) and the one definition of each order,
+and unpack only their results.  The toolkit takes its lists of
 polynomials in through ``pack_polys``, which rejects an empty list, a
 zero element and mixed variable counts.  Each variable gets a field of
 ``FIELD_BITS`` = ``EXPONENT_CAP.bit_length() + 1`` bits (4 for a cap of
@@ -40,11 +41,20 @@ variable, still fits its field.  With that invariant:
 * a product exceeds the cap exactly when adding
   ``2^(FIELD_BITS - 1) - 1 - EXPONENT_CAP`` to each field sets a guard
   bit.
+
+A packing memoizes ``pack``, ``unpack`` and ``lcm``, each in a
+least-recently-used table of at most ``MEMO_LIMIT`` entries, so memory
+stays bounded up to m = 16.  A ``Poly`` remembers its ``(lead, tail)``
+split for the last order it was split in, outside equality, hashing,
+``repr`` and pickling, so each ``divide`` by a basis that ``check_basis``
+packed reuses its split.  The tail is a tuple in ``f.support``'s
+iteration order, which decides the product that an overflow error names.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable
 
 Monomial = tuple  # exponent tuple, one entry per variable
@@ -57,6 +67,7 @@ DEFAULT_ORDER = GRLEX
 EXPONENT_CAP = 4
 MAX_VARS = 16
 FIELD_BITS = EXPONENT_CAP.bit_length() + 1  # packed field width; see the module docstring
+MEMO_LIMIT = 1 << 12  # entries per memo of a packing; see the module docstring
 
 
 class Poly:
@@ -66,7 +77,7 @@ class Poly:
     ``*``, equality, hashing, and truthiness (zero polynomial is falsy).
     """
 
-    __slots__ = ("m", "support")
+    __slots__ = ("m", "support", "_split")
 
     def __init__(self, m: int, monomials: Iterable[Monomial] = ()):
         if not 1 <= m <= MAX_VARS:
@@ -84,6 +95,7 @@ class Poly:
             support ^= {mono}  # coefficients are mod 2, duplicates cancel
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "support", frozenset(support))
+        object.__setattr__(self, "_split", None)
 
     @classmethod
     def _make(cls, m: int, support: frozenset) -> "Poly":
@@ -91,10 +103,15 @@ class Poly:
         self = object.__new__(cls)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "support", support)
+        object.__setattr__(self, "_split", None)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # rebuilt from its terms, so pickles and copies carry no remembered split
+        return Poly, (self.m, self.support)
 
     def __bool__(self) -> bool:
         return bool(self.support)
@@ -118,7 +135,7 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
-        packing = MonomialPacking(self.m, LEX)
+        packing = shared_packing(self.m, LEX)
         right = [packing.pack(b) for b in other.support]
         acc = set()
         for a in self.support:
@@ -135,7 +152,7 @@ class Poly:
         """Leading monomial.  Over GF(2) this is also the leading term."""
         if not self.support:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.support, key=MonomialPacking(self.m, order).pack)
+        return max(self.support, key=shared_packing(self.m, order).pack)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -151,10 +168,11 @@ class MonomialPacking:
     they hold only for monomials whose exponents are at most
     ``EXPONENT_CAP``.  Hot loops read ``guard`` (every guard bit) and
     ``room`` (the per-field headroom below the guard bit that is left
-    over the cap) and test divisibility and overflow inline.
+    over the cap) and test divisibility and overflow inline.  ``pack``,
+    ``unpack`` and ``lcm`` memoize ``_pack``, ``_unpack`` and ``_lcm``.
     """
 
-    __slots__ = ("m", "grlex", "guard", "room", "_fields", "_planes", "_shifts")
+    __slots__ = ("m", "grlex", "guard", "room", "_fields", "_planes", "_shifts", "pack", "unpack", "lcm")
 
     def __init__(self, m: int, order: str):
         if order not in ORDERS:
@@ -167,24 +185,33 @@ class MonomialPacking:
         self._fields = ones * ((1 << FIELD_BITS) - 1)
         self._planes = [ones << k for k in range(FIELD_BITS - 1)]
         self._shifts = [FIELD_BITS * k for k in reversed(range(m))]
+        self.pack = lru_cache(MEMO_LIMIT)(self._pack)
+        self.unpack = lru_cache(MEMO_LIMIT)(self._unpack)
+        self.lcm = lru_cache(MEMO_LIMIT)(self._lcm)
 
-    def pack(self, mono: Monomial) -> int:
+    def _pack(self, mono: Monomial) -> int:
         p = sum(mono) if self.grlex else 0
         for e in mono:
             p = p << FIELD_BITS | e
         return p
 
-    def unpack(self, p: int) -> Monomial:
+    def _unpack(self, p: int) -> Monomial:
         mask = (1 << FIELD_BITS) - 1
         return tuple(p >> shift & mask for shift in self._shifts)
 
     def split(self, f: Poly):
-        """``(lead, tail)`` of a nonzero ``f``: its packed leading monomial,
-        and its other monomials packed, in the order ``f.support`` yields them."""
+        """``(lead, tail)`` of a nonzero ``f``: its packed leading monomial, and
+        a tuple of its other monomials packed, in the order ``f.support`` yields
+        them.  ``f`` keeps the pair of the last order it was split in."""
+        known = f._split
+        if known is not None and known[0] == self.grlex:
+            return known[1]
         tail = [self.pack(mono) for mono in f.support]
         lead = max(tail)
         tail.remove(lead)
-        return lead, tail
+        pair = lead, tuple(tail)
+        object.__setattr__(f, "_split", (self.grlex, pair))
+        return pair
 
     def poly(self, packed) -> Poly:
         return Poly._make(self.m, frozenset(map(self.unpack, packed)))
@@ -193,7 +220,7 @@ class MonomialPacking:
         guard = self.guard
         return ((b | guard) - a) & guard == guard
 
-    def lcm(self, a: int, b: int) -> int:
+    def _lcm(self, a: int, b: int) -> int:
         guard = self.guard
         a_wins = (((a | guard) - b) & guard) >> (FIELD_BITS - 1)  # a_i >= b_i, one bit per field
         take_a = a_wins * ((1 << FIELD_BITS) - 1)
@@ -222,6 +249,12 @@ class MonomialPacking:
         return ValueError(f"exponent overflow: product {self.unpack(p)} exceeds cap {EXPONENT_CAP}")
 
 
+@lru_cache(maxsize=len(ORDERS) * MAX_VARS)
+def shared_packing(m: int, order: str) -> MonomialPacking:
+    """The one ``MonomialPacking`` of ``m`` variables under ``order``, whose memos its callers share."""
+    return MonomialPacking(m, order)
+
+
 def pack_polys(polys, order: str):
     """A packing for ``polys``, nonzero and in the same variables, and each
     one's ``(lead, tail)`` pair; the error for a zero one names its position."""
@@ -232,7 +265,7 @@ def pack_polys(polys, order: str):
         Poly._check_compatible(polys[0], p)  # k = 1 checks polys[0] is a Poly too
         if not p:
             raise ValueError(f"polynomial {k} of {len(polys)} is zero; expected nonzero polynomials")
-    packing = MonomialPacking(polys[0].m, order)
+    packing = shared_packing(polys[0].m, order)
     return packing, [packing.split(p) for p in polys]
 
 
@@ -279,7 +312,7 @@ def format_poly(f: Poly, order: str = DEFAULT_ORDER) -> str:
     if not f:
         return "0"
     terms = []
-    for mono in sorted(f.support, key=MonomialPacking(f.m, order).pack, reverse=True):
+    for mono in sorted(f.support, key=shared_packing(f.m, order).pack, reverse=True):
         factors = []
         for i, e in enumerate(mono):
             if e == 1:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -6,11 +8,14 @@ from rmgb.polyring import (
     EXPONENT_CAP,
     GRLEX,
     LEX,
+    MEMO_LIMIT,
     ORDERS,
     MonomialPacking,
     Poly,
     format_poly,
+    pack_polys,
     parse_poly,
+    shared_packing,
 )
 from tuple_toolkit import mono_div, mono_divides, mono_lcm, mono_mul, monomial_key, mul
 
@@ -245,3 +250,64 @@ def test_packing_agrees_with_exponent_tuples():
                 assert got == want, (f, g)
                 overflows += isinstance(want, str)
     assert 0 < overflows < 2 * 3 * 200
+
+
+def test_pickle_and_copy_round_trip():
+    f = parse_poly("x1^2*x3 + x2 + 1", 3)
+    pack_polys([f], GRLEX)  # f now remembers a split, which must not travel
+    copies = [pickle.loads(pickle.dumps(f, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for g in copies + [copy.copy(f), copy.deepcopy(f)]:
+        assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+        assert g._split is None
+
+
+def test_remembered_split_is_a_fresh_split():
+    # pack_polys splits each polynomial once per order and hands out the same
+    # pair after that: its packed lead is the order's largest monomial and its
+    # tail holds the others in the order f.support yields them; a polynomial
+    # split under lex, then grlex, then lex again gets each order's split
+    rng = random.Random(32)
+    for m in (1, 3, 5, 16):
+        for _ in range(50):
+            f = Poly(m, [tuple(rng.randint(0, EXPONENT_CAP) for _ in range(m)) for _ in range(rng.randint(1, 6))])
+            if not f:
+                continue
+            text, digest, twin = repr(f), hash(f), Poly(m, f.support)
+            for order in (LEX, GRLEX, LEX):
+                packing, [pair] = pack_polys([f], order)
+                assert pack_polys([f], order)[1][0] is pair
+                lead = max(f.support, key=monomial_key(order))
+                assert packing.unpack(pair[0]) == lead
+                assert type(pair[1]) is tuple
+                assert [packing.unpack(p) for p in pair[1]] == [mono for mono in f.support if mono != lead]
+            assert repr(f) == text and hash(f) == digest and f == twin and twin._split is None
+
+
+def test_pack_polys_shares_one_packing_per_variables_and_order():
+    f, g = parse_poly("x1 + x2", 2), parse_poly("x1*x2 + 1", 2)
+    assert pack_polys([f], LEX)[0] is pack_polys([g], LEX)[0] is shared_packing(2, LEX)
+    assert pack_polys([f], GRLEX)[0] is shared_packing(2, GRLEX) is not shared_packing(2, LEX)
+    assert pack_polys([parse_poly("x1", 3)], LEX)[0] is shared_packing(3, LEX) is not shared_packing(2, LEX)
+    with pytest.raises(ValueError, match="unknown monomial order"):
+        shared_packing(2, "revlex")
+
+
+def test_conversion_memos_stay_within_their_bound():
+    # more distinct monomials than a memo holds: each memo stays full, and
+    # every conversion still agrees with a packing that saw none
+    rng = random.Random(33)
+    for order in ORDERS:
+        packing = MonomialPacking(16, order)
+        monos = list({tuple(rng.randint(0, EXPONENT_CAP) for _ in range(16)) for _ in range(MEMO_LIMIT + 500)})
+        assert len(monos) > MEMO_LIMIT
+        for round_ in range(2):
+            for k, mono in enumerate(monos):
+                p = packing.pack(mono)
+                assert packing.unpack(p) == mono
+                assert packing.lcm(p, 0) == p  # 0 packs the monomial 1
+                if round_:
+                    other, fresh = monos[k - 1], MonomialPacking(16, order)
+                    assert p == fresh.pack(mono)
+                    assert packing.lcm(p, packing.pack(other)) == fresh.pack(mono_lcm(mono, other))
+            for memo in (packing.pack, packing.unpack, packing.lcm):
+                assert memo.cache_info().currsize == MEMO_LIMIT
