@@ -67,7 +67,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, log, log1p
 from typing import Optional
 
@@ -133,8 +133,8 @@ class DecodeResult:
     def chosen_locations(self) -> Optional[tuple]:
         """The accepted set S on the omega path, else None; built on the first read.
 
-        In ``_candidate_locations`` order, which is ``rmcode.subset_bits``':
-        by size descending, then descending bit within one size.
+        In ``rmcode.subset_bits``' order, which ``decode_search`` tries
+        locations in: by size descending, then descending bit within one size.
         """
         if self.status != CORRECTED_OMEGA:
             return None
@@ -205,15 +205,6 @@ def _nearest(y: int, k: int, r: int) -> Optional[int]:
     return None
 
 
-@lru_cache(maxsize=None)
-def _candidate_locations(params: CodeParams):
-    # (bit of X_I, remainder bits of X_I) for |I| >= l, in descending X_I order
-    return tuple(
-        (1 << b, remainder_bits(1 << b, params))
-        for b in subset_bits(params.m, range(params.m, params.l - 1, -1))
-    )
-
-
 def decode_search(v: Word, params: CodeParams) -> DecodeResult:
     """Correct up to t errors in the received word.
 
@@ -239,7 +230,9 @@ def decode_search(v: Word, params: CodeParams) -> DecodeResult:
     t = params.t
     if rem.bit_count() <= t:
         return _result(v, rem, params)
-    candidates = _candidate_locations(params)
+    # (bit, remainder bits) of each X_I with |I| >= l, in descending X_I order; built per call
+    candidates = [(1 << b, remainder_bits(1 << b, params))
+                  for b in subset_bits(params.m, range(params.m, params.l - 1, -1))]
     for size in range(1, t + 1):
         for chosen in itertools.combinations(candidates, size):
             shifted = rem

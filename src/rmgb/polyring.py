@@ -44,11 +44,12 @@ variable, still fits its field.  With that invariant:
 
 A packing memoizes ``pack``, ``unpack`` and ``lcm``, each in a
 least-recently-used table of at most ``MEMO_LIMIT`` entries, so memory
-stays bounded up to m = 16.  A ``Poly`` remembers its ``(lead, tail)``
-split for the last order it was split in, outside equality, hashing,
-``repr`` and pickling, so each ``divide`` by a basis that ``check_basis``
-packed reuses its split.  The tail is a tuple in ``f.support``'s
-iteration order, which decides the product that an overflow error names.
+stays bounded up to m = 16; it pickles and copies as the shared packing.
+A ``Poly`` remembers its ``(lead, tail)`` split for the last order it was
+split in, outside equality, hashing, ``repr`` and pickling, so each
+``divide`` by a basis that ``check_basis`` packed reuses its split.  The
+tail is a tuple in ``f.support``'s iteration order, which decides the
+product that an overflow error names.
 """
 
 from __future__ import annotations
@@ -188,6 +189,9 @@ class MonomialPacking:
         self.pack = lru_cache(MEMO_LIMIT)(self._pack)
         self.unpack = lru_cache(MEMO_LIMIT)(self._unpack)
         self.lcm = lru_cache(MEMO_LIMIT)(self._lcm)
+
+    def __reduce__(self):  # the memos do not pickle; a copy is the shared packing
+        return shared_packing, (self.m, GRLEX if self.grlex else LEX)
 
     def _pack(self, mono: Monomial) -> int:
         p = sum(mono) if self.grlex else 0

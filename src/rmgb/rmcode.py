@@ -159,13 +159,11 @@ def subset_bit(m: int, subset) -> int:
     return b
 
 
-@lru_cache(maxsize=1024)  # bounded: at m = 16 there are 65536 subsets
 def bit_subset(m: int, b: int) -> frozenset:
     """The subset I of {1..m} whose X_I has bit b; the inverse of ``subset_bit``."""
     return frozenset(i for i in range(1, m + 1) if b >> (m - i) & 1)
 
 
-@lru_cache(maxsize=None)
 def subset_bits(m: int, sizes) -> tuple:
     """The ints below 2^m with popcount in sizes, by size, then descending: for
     subsets I of the variables, the bits of the X_I in ``combinations`` order of I."""

@@ -11,7 +11,7 @@ from rmgb.cli import main
 from rmgb.decoder import decode, syndrome
 from rmgb.division import divide, remainder
 from rmgb.groebner import buchberger_complete, check_basis, is_groebner, reduce_basis
-from rmgb.polyring import GRLEX, Poly, parse_poly
+from rmgb.polyring import GRLEX, parse_poly
 from rmgb.rmcode import (
     CodeParams,
     Word,
@@ -29,6 +29,7 @@ from rmgb.selfcheck import (
     verify_location_weights,
     verify_min_weight,
 )
+from test_division import rand_poly
 from tuple_toolkit import mono_divides, monomial_key
 
 SWEEP_PARAMS = [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)]
@@ -36,12 +37,6 @@ SWEEP_PARAMS = [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)]
 
 def report(num, text):
     print(f"ACCEPTANCE {num:02d} PASS: {text}")
-
-
-def rand_poly(rng, m, max_terms=6, max_exp=2, max_deg=4):
-    monos = [tuple(rng.randint(0, max_exp) for _ in range(m))
-             for _ in range(rng.randint(0, max_terms))]
-    return Poly(m, [mono for mono in monos if sum(mono) <= max_deg])
 
 
 def rand_divisors(rng, m):

@@ -11,6 +11,7 @@ known error; past ``SEARCH_LIMIT`` candidate sets the search refuses.
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -20,9 +21,9 @@ from rmgb.decoder import (
     CORRECTED_OMEGA,
     FAILURE,
     SEARCH_LIMIT,
-    _candidate_locations,
     decode,
     decode_search,
+    syndrome,
 )
 from rmgb.polyring import Poly
 from rmgb.rmcode import CodeParams, Word, encode, monomial_positions, random_message
@@ -114,9 +115,13 @@ def test_decode_m12_l5_edge():
     assert result.codeword is None and result.error is None
 
 
-def test_search_limit():
-    # refused from (m, l) alone, before any candidate is built: 151M sets at (10, 3)
-    built = _candidate_locations.cache_info().currsize
+def test_search_limit(monkeypatch):
+    # refused from (m, l) alone, before any syndrome or candidate is built: 151M sets at (10, 3)
+    def unbuilt(*args):
+        raise AssertionError("computed a remainder before refusing")
+
+    monkeypatch.setattr("rmgb.decoder.remainder_bits", unbuilt)
+    monkeypatch.setattr("rmgb.decoder.subset_bits", unbuilt)
     for m, l in [(10, 3), (16, 3), (16, 12)]:
         params = CodeParams(m, l)
         zero = Word(params.n, 0)  # a clean word is refused too
@@ -124,7 +129,23 @@ def test_search_limit():
         with pytest.raises(ValueError, match=f"limited to {SEARCH_LIMIT} candidate sets, got more at m={m}, l={l}$"):
             decode_search(zero, params)
         assert time.perf_counter() - start < 0.1
-    assert _candidate_locations.cache_info().currsize == built
+    monkeypatch.undo()
     # every m <= 6 is still searched, and (8, 3) with its 1,750,759 sets
     for params in [CodeParams(m, l) for m in range(1, 7) for l in range(m + 1)] + [CodeParams(8, 3)]:
         assert decode_search(Word(params.n, 0), params).status == CLEAN
+
+
+def test_search_keeps_nothing_between_calls():
+    # a word beyond t at (12, 2) makes the search build its whole candidate
+    # list, 4083 (bit, remainder) pairs of 4096-bit ints, about 2.4 MiB
+    params = CodeParams(12, 2)
+    v = Word(params.n, 1 << (params.n - 1) | 1)
+    syndrome(Word(params.n, 0), params)  # warm-up: the transforms' masks stay cached
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert decode_search(v, params).status == FAILURE
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20, kept

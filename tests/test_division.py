@@ -1,10 +1,12 @@
+import copy
+import pickle
 import random
 import re
 
 import pytest
 
 from rmgb.division import DivisionResult, divide, remainder
-from rmgb.polyring import GRLEX, LEX, Poly, parse_poly
+from rmgb.polyring import GRLEX, LEX, Poly, parse_poly, shared_packing
 from rmgb.rmcode import CodeParams, groebner_basis
 from tuple_toolkit import mono_divides, monomial_key
 
@@ -119,6 +121,26 @@ def test_division_result_is_frozen():
     assert isinstance(result, DivisionResult)
     with pytest.raises(AttributeError):
         result.remainder = Poly(2)
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX])
+def test_division_result_pickles_and_copies(order):
+    # a result keeps its packing for the lazy quotients; a copy holds the shared packing
+    rng = random.Random(515)
+    copiers = [lambda r, p=p: pickle.loads(pickle.dumps(r, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copiers.append(copy.deepcopy)
+    for _ in range(20):
+        m = rng.randint(1, 4)
+        f, divisors = rand_poly(rng, m), rand_divisors(rng, m, rng.randint(1, 4), order)
+        for read_first in (False, True):
+            for copier in copiers:
+                result = divide(f, divisors, order)
+                if read_first:
+                    result.quotients
+                copied = copier(result)
+                assert ("quotients" in vars(copied)) == read_first  # unread quotients stay packed
+                assert copied._packing is shared_packing(m, order)
+                assert copied == result and copied.quotients == result.quotients
 
 
 def test_product_above_exponent_cap_raises():

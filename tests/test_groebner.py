@@ -16,10 +16,7 @@ from rmgb.groebner import (
 )
 from rmgb.polyring import GRLEX, LEX, Poly, parse_poly
 from rmgb.rmcode import CodeParams, groebner_basis, jennings_basis, square_relations
-
-
-def G32():
-    return list(groebner_basis(CodeParams(3, 2)))
+from test_division import G32
 
 
 def test_s_polynomial_of_generator_pair():

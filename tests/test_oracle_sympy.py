@@ -9,6 +9,7 @@ from rmgb.division import remainder
 from rmgb.groebner import buchberger_complete, reduce_basis
 from rmgb.polyring import GRLEX, LEX, Poly
 from rmgb.rmcode import CodeParams, groebner_basis, monomial_positions, square_relations
+from test_division import rand_poly
 
 ORDER_NAMES = {GRLEX: "grlex", LEX: "lex"}
 
@@ -32,12 +33,6 @@ def from_expr(expr, m, gens):
         return Poly(m)
     spoly = sp.Poly(expr, *gens, modulus=2)
     return Poly(m, [mono for mono, coeff in spoly.terms() if int(coeff) % 2])
-
-
-def rand_poly(rng, m, max_terms=6, max_exp=2, max_deg=4):
-    monos = [tuple(rng.randint(0, max_exp) for _ in range(m))
-             for _ in range(rng.randint(0, max_terms))]
-    return Poly(m, [mono for mono in monos if sum(mono) <= max_deg])
 
 
 def test_remainders_match_sympy():
