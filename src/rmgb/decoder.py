@@ -66,12 +66,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, log, log1p
-from typing import Optional
 
-from .polyring import Poly
+from .polyring import Poly, Record
 from .rmcode import (
     CodeParams,
     Word,
@@ -115,22 +113,24 @@ def hat_set(location, params: CodeParams) -> frozenset:
     return frozenset(bit_subset(params.m, b) for b in set_bits(rem))
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    status: str
-    codeword: Optional[Word]
-    error_bits: Optional[int]  # the error's coefficient bits; None on failure
-    params: CodeParams = field(repr=False, compare=False)  # the code decoded in
+class DecodeResult(Record):
+    _fields = ("status", "codeword", "error_bits")  # not params: no comparison or repr reads the code
+
+    def __init__(self, status: str, codeword: Word | None, error_bits: int | None, params: CodeParams):
+        self._set("status", status)
+        self._set("codeword", codeword)
+        self._set("error_bits", error_bits)  # the error's coefficient bits; None on failure
+        self._set("params", params)
 
     @cached_property
-    def error(self) -> Optional[Poly]:
+    def error(self) -> Poly | None:
         """The error polynomial, or None on failure; built on the first read."""
         if self.error_bits is None:
             return None
         return word_to_poly(Word(self.codeword.n, self.error_bits))
 
     @cached_property
-    def chosen_locations(self) -> Optional[tuple]:
+    def chosen_locations(self) -> tuple | None:
         """The accepted set S on the omega path, else None; built on the first read.
 
         In ``rmcode.subset_bits``' order, which ``decode_search`` tries
@@ -155,7 +155,7 @@ def decode(v: Word, params: CodeParams) -> DecodeResult:
     return _result(v, None if codeword is None else v.value ^ codeword, params)
 
 
-def _result(v: Word, error: Optional[int], params: CodeParams) -> DecodeResult:
+def _result(v: Word, error: int | None, params: CodeParams) -> DecodeResult:
     """The one exit of both decoders: v less ``error``, by the module's rule."""
     if error == 0:
         return DecodeResult(CLEAN, v, 0, params)
@@ -165,7 +165,7 @@ def _result(v: Word, error: Optional[int], params: CodeParams) -> DecodeResult:
     return DecodeResult(status, Word(v.n, v.value ^ error), error, params)
 
 
-def _nearest(y: int, k: int, r: int) -> Optional[int]:
+def _nearest(y: int, k: int, r: int) -> int | None:
     """The codeword of RM(r, k) within t = (2^(k-r) - 1) // 2 of the 2^k-bit y, or None.
 
     RM(r, k) is M^(k-r) in k variables, and this is the (u | u + v)
@@ -248,11 +248,13 @@ def decode_search(v: Word, params: CodeParams) -> DecodeResult:
     return _result(v, None, params)
 
 
-@dataclass(frozen=True)
-class MLResult:
-    codeword: Word
-    distance: int
-    is_tie: bool
+class MLResult(Record):
+    __slots__ = _fields = ("codeword", "distance", "is_tie")
+
+    def __init__(self, codeword: Word, distance: int, is_tie: bool):
+        self._set("codeword", codeword)
+        self._set("distance", distance)
+        self._set("is_tie", is_tie)
 
 
 def ml_decode_bruteforce(v: Word, params: CodeParams) -> MLResult:

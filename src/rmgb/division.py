@@ -26,29 +26,25 @@ skipped, so the first popped one still in the set is its largest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
-from .polyring import DEFAULT_ORDER, MonomialPacking, Poly, pack_polys
+from .polyring import DEFAULT_ORDER, MonomialPacking, Poly, Record, pack_polys
 
 
-@dataclass(frozen=True, init=False)
-class DivisionResult:
+class DivisionResult(Record):
     """Quotients and remainder; ``divide``'s quotients unpack when first read."""
 
-    quotients: tuple
-    remainder: Poly
+    _fields = ("quotients", "remainder")
 
     def __init__(self, quotients, remainder: Poly, packing: MonomialPacking | None = None):
-        object.__setattr__(self, "quotients" if packing is None else "_packed", quotients)
-        object.__setattr__(self, "remainder", remainder)
-        object.__setattr__(self, "_packing", packing)
+        self._set("quotients" if packing is None else "_packed", quotients)
+        self._set("remainder", remainder)
+        self._set("_packing", packing)
 
-    def __getattr__(self, name):  # reached only for unset names: ``quotients`` while packed
-        if name != "quotients":
-            raise AttributeError(name)
-        object.__setattr__(self, name, tuple(map(self._packing.poly, self._packed)))
-        return self.quotients
+    @cached_property
+    def quotients(self) -> tuple:  # read only while packed: ``__init__`` sets unpacked ones
+        return tuple(map(self._packing.poly, self._packed))
 
     def reconstruct(self, divisors) -> Poly:
         """Recompute ``sum(quotient * divisor) + remainder``."""

@@ -12,11 +12,8 @@ the Gebauer-Moeller criteria (J. Symbolic Comput. 6, 1988).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .division import packed_remainder, remainder
-from .polyring import DEFAULT_ORDER, MonomialPacking, Poly, pack_polys
+from .polyring import DEFAULT_ORDER, MonomialPacking, Poly, Record, pack_polys
 
 MAX_ADDITIONS = 10000  # S-remainders buchberger_complete may add before it gives up
 
@@ -79,11 +76,13 @@ def _update(packing: MonomialPacking, packed, active: list, pairs: list, h: int)
     return [packed[g] for g in active]
 
 
-@dataclass(frozen=True)
-class BasisReport:
-    is_groebner: bool
-    is_reduced: bool
-    failing_pair: Optional[tuple] = None  # (i, j, nonzero S-remainder)
+class BasisReport(Record):
+    __slots__ = _fields = ("is_groebner", "is_reduced", "failing_pair")
+
+    def __init__(self, is_groebner: bool, is_reduced: bool, failing_pair: tuple | None = None):
+        self._set("is_groebner", is_groebner)
+        self._set("is_reduced", is_reduced)
+        self._set("failing_pair", failing_pair)  # (i, j, nonzero S-remainder)
 
 
 def check_basis(basis, order: str = DEFAULT_ORDER) -> BasisReport:
@@ -107,7 +106,7 @@ def check_basis(basis, order: str = DEFAULT_ORDER) -> BasisReport:
     return BasisReport(failing is None, _is_reduced(packing, packed), failing)
 
 
-def _failing_pair(packing: MonomialPacking, packed) -> Optional[tuple]:
+def _failing_pair(packing: MonomialPacking, packed) -> tuple | None:
     active, pairs = [], []
     for h in range(len(packed)):
         _update(packing, packed, active, pairs, h)

@@ -54,9 +54,11 @@ product that an overflow error names.
 
 from __future__ import annotations
 
+import copyreg
 import re
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
+from operator import attrgetter
 
 Monomial = tuple  # exponent tuple, one entry per variable
 
@@ -71,7 +73,47 @@ FIELD_BITS = EXPONENT_CAP.bit_length() + 1  # packed field width; see the module
 MEMO_LIMIT = 1 << 12  # entries per memo of a packing; see the module docstring
 
 
-class Poly:
+class Record:
+    """Base of the immutable value types: ``Poly``, ``rmcode.Word`` and the rest.
+
+    A subclass names its fields in ``_fields`` and sets them in its own
+    ``__init__`` with ``self._set(name, value)``; assigning or deleting one
+    later raises AttributeError.  Records of one class are equal when their
+    fields are; they hash on the fields and show as ``Name(field=value, ...)``.
+    A slotted record pickles and copies as its class called with its fields;
+    one with a ``__dict__`` as that dict, so its lazy attributes stay unbuilt.
+    """
+
+    __slots__ = ()
+    _set = object.__setattr__  # past the raising __setattr__; a method, so calls to it specialize
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)  # a tuple, given two or more fields
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__  # called with no value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        if hasattr(self, "__dict__"):
+            return copyreg.__newobj__, (type(self),), self.__dict__
+        return type(self), self._values(self)
+
+
+class Poly(Record):
     """Immutable polynomial over GF(2), stored as a frozenset of monomials.
 
     Supports ``+`` (which is also subtraction in characteristic 2),
@@ -79,6 +121,7 @@ class Poly:
     """
 
     __slots__ = ("m", "support", "_split")
+    _fields = ("m", "support")  # so equality, hashing and pickles leave out the remembered split
 
     def __init__(self, m: int, monomials: Iterable[Monomial] = ()):
         if not 1 <= m <= MAX_VARS:
@@ -94,39 +137,24 @@ class Poly:
                 if e > EXPONENT_CAP:
                     raise ValueError(f"exponent {e} exceeds cap {EXPONENT_CAP}")
             support ^= {mono}  # coefficients are mod 2, duplicates cancel
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "support", frozenset(support))
-        object.__setattr__(self, "_split", None)
+        self._set("m", m)
+        self._set("support", frozenset(support))
+        self._set("_split", None)
 
     @classmethod
     def _make(cls, m: int, support: frozenset) -> "Poly":
         # internal fast path: support is already a validated frozenset
         self = object.__new__(cls)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "_split", None)
+        self._set("m", m)
+        self._set("support", support)
+        self._set("_split", None)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        # rebuilt from its terms, so pickles and copies carry no remembered split
-        return Poly, (self.m, self.support)
 
     def __bool__(self) -> bool:
         return bool(self.support)
 
     def __len__(self) -> int:
         return len(self.support)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.m == other.m and self.support == other.support
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.support))
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
@@ -214,7 +242,7 @@ class MonomialPacking:
         lead = max(tail)
         tail.remove(lead)
         pair = lead, tuple(tail)
-        object.__setattr__(f, "_split", (self.grlex, pair))
+        f._set("_split", (self.grlex, pair))
         return pair
 
     def poly(self, packed) -> Poly:

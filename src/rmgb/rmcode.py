@@ -34,38 +34,38 @@ and ``random_message`` wrap them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .polyring import MAX_VARS, Poly
+from .polyring import MAX_VARS, Poly, Record
 
 ENUMERATION_LIMIT = 4  # largest m for which full codeword enumeration is allowed
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to compress() selectors
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Parameters of the code M^l inside the m-variable quotient algebra."""
+class CodeParams(Record):
+    """Parameters of the code M^l inside the m-variable quotient algebra.
 
-    m: int
-    l: int
+    Set once, at construction: block length ``n`` = 2^m, Reed-Muller order
+    ``nu`` = m - l and correction radius ``t`` = floor((2^l - 1) / 2).
+    """
 
-    def __post_init__(self):
-        if not 1 <= self.m <= MAX_VARS:
-            raise ValueError(f"m must be in 1..{MAX_VARS}, got {self.m}")
-        if not 0 <= self.l <= self.m:
-            raise ValueError(f"l must be in 0..m, got {self.l}")
+    __slots__ = ("m", "l", "n", "nu", "t")
+    _fields = ("m", "l")
 
-    @property
-    def n(self) -> int:
-        """Block length 2^m."""
-        return 1 << self.m
+    def __init__(self, m: int, l: int):
+        if not 1 <= m <= MAX_VARS:
+            raise ValueError(f"m must be in 1..{MAX_VARS}, got {m}")
+        if not 0 <= l <= m:
+            raise ValueError(f"l must be in 0..m, got {l}")
+        self._set("m", m)
+        self._set("l", l)
+        self._set("n", 1 << m)
+        self._set("nu", m - l)
+        self._set("t", ((1 << l) - 1) // 2)
 
-    @property
-    def nu(self) -> int:
-        """Reed-Muller order m - l."""
-        return self.m - self.l
+    def __hash__(self):  # written out: hash(params) keys caches, and the base's takes ~1.5x as long
+        return hash((self.m, self.l))
 
     @property
     def dim(self) -> int:
@@ -77,29 +77,24 @@ class CodeParams:
         """Minimum distance 2^l."""
         return 1 << self.l
 
-    @property
-    def t(self) -> int:
-        """Guaranteed correction radius floor((2^l - 1) / 2)."""
-        return ((1 << self.l) - 1) // 2
 
-
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """Fixed-length bit vector, most significant bit first.
 
     Bit j (1-based) of a length-n word is ``(value >> (n - j)) & 1``.
     """
 
-    n: int
-    value: int
+    __slots__ = _fields = ("n", "value")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"word length must be positive, got {self.n}")
-        if not isinstance(self.value, int):
-            raise ValueError(f"word value must be an int, got {type(self.value).__name__}")
-        if not (self.value >= 0 and self.value.bit_length() <= self.n):
-            raise ValueError(f"value out of range for {self.n}-bit word")
+    def __init__(self, n: int, value: int):
+        if n < 1:
+            raise ValueError(f"word length must be positive, got {n}")
+        if not isinstance(value, int):
+            raise ValueError(f"word value must be an int, got {type(value).__name__}")
+        if not (value >= 0 and value.bit_length() <= n):
+            raise ValueError(f"value out of range for {n}-bit word")
+        self._set("n", n)
+        self._set("value", value)
 
     @classmethod
     def from_string(cls, s: str) -> "Word":

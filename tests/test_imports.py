@@ -1,6 +1,10 @@
-"""No module of the library, the tests or the demos imports a name it never reads."""
+"""No module of the library, the tests or the demos imports a name it never reads,
+and importing rmgb loads neither dataclasses nor typing, nor the modules they import."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,3 +42,15 @@ def test_no_unused_imports():
     assert found == {}
     for rel, name in KEPT:  # each exception is still needed
         assert name in unused_imports(ROOT / rel), (rel, name)
+
+
+def test_import_leaves_out_dataclasses_and_typing():
+    # compared with the modules present before, since site may preload some of these
+    script = ("import sys; before = set(sys.modules); import rmgb; "
+              "print(rmgb.__file__); print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    origin, added = proc.stdout.splitlines()
+    assert Path(origin).resolve().parent == ROOT / "src" / "rmgb"
+    assert {"dataclasses", "inspect", "ast", "typing"} & set(added.split()) == set()
