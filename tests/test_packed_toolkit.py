@@ -16,7 +16,7 @@ import re
 import pytest
 
 import tuple_toolkit as ref
-from rmgb.division import divide
+from rmgb.division import divide, packed_remainder
 from rmgb.groebner import buchberger_complete, check_basis, is_reduced, reduce_basis, s_polynomial
 from rmgb.polyring import EXPONENT_CAP, GRLEX, LEX, Poly, parse_poly
 from rmgb.rmcode import monomial_positions, square_relations
@@ -80,6 +80,43 @@ def test_buchberger_reduce_and_check_match_tuple_reference(order):
         rng.shuffle(shuffled)
         assert reduce_basis(shuffled, order) == ref.reduce_basis(shuffled, order)
         _check_report_matches(shuffled, order)
+
+
+# S-pairs reduced per ideal of seeded_ideals(601, 40): by buchberger_complete
+# on the generators, and by check_basis on the reduced basis
+PAIR_COUNTS = {
+    LEX: ([1, 2, 13, 9, 11, 1, 2, 8, 15, 10, 1, 2, 4, 11, 16, 1, 2, 14, 25, 35,
+           1, 2, 6, 17, 53, 1, 2, 5, 29, 49, 1, 2, 5, 9, 17, 1, 2, 3, 10, 38],
+          [0, 2, 0, 0, 0, 0, 2, 2, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 8, 8,
+           0, 2, 2, 0, 30, 0, 2, 0, 8, 30, 0, 2, 0, 0, 0, 0, 2, 0, 0, 8]),
+    GRLEX: ([1, 2, 13, 20, 70, 1, 2, 8, 22, 24, 1, 2, 4, 11, 44, 1, 2, 14, 29, 36,
+             1, 2, 6, 23, 48, 1, 2, 10, 33, 52, 1, 2, 10, 25, 49, 1, 2, 3, 23, 57],
+            [0, 2, 0, 0, 30, 0, 2, 2, 0, 13, 0, 2, 0, 0, 30, 0, 2, 0, 8, 30,
+             0, 2, 2, 8, 30, 0, 2, 0, 8, 30, 0, 2, 0, 8, 30, 0, 2, 0, 8, 30]),
+}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_pair_criteria_reduce_pinned_pair_counts(order, monkeypatch):
+    # results alone do not show a pair the criteria should have dropped: it
+    # only costs a reduction, so the reductions are counted and pinned
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return packed_remainder(*args, **kwargs)
+
+    monkeypatch.setattr("rmgb.groebner.packed_remainder", counted)
+    completions, checks = [], []
+    for _, _, gens in seeded_ideals(601, 40):
+        calls.clear()
+        basis = buchberger_complete(gens, order)
+        completions.append(len(calls))
+        reduced = reduce_basis(basis, order)
+        calls.clear()
+        assert check_basis(reduced, order).is_groebner
+        checks.append(len(calls))
+    assert (completions, checks) == PAIR_COUNTS[order]
 
 
 @pytest.mark.parametrize("order", ORDERS)
