@@ -65,7 +65,6 @@ def packed_remainder(work: set, divisors, packing: MonomialPacking, quotients=No
     order.
     """
     guard, room = packing.guard, packing.room
-    leads = [lead for lead, _ in divisors]
     heap = [-p for p in work]
     heapify(heap)
     rem = []
@@ -74,15 +73,13 @@ def packed_remainder(work: set, divisors, packing: MonomialPacking, quotients=No
         if lead not in work:
             continue
         work.remove(lead)
-        bound = lead | guard
-        for i, dlead in enumerate(leads):
-            if (bound - dlead) & guard == guard:
-                q = lead - dlead
-                if quotients is not None:
-                    quotients[i].append(q)
-                # subtract q * divisor: q * dlead cancels `lead`, and in GF(2)
-                # each tail product toggles its monomial in `work`
-                for t in divisors[i][1]:
+        for divisor in divisors:
+            q = lead - divisor[0]  # the quotient when no field borrows (polyring's docstring)
+            if not q & guard:
+                if quotients is not None:  # an equal divisor before this one would have divided first
+                    quotients[divisors.index(divisor)].append(q)
+                # subtract q * divisor: its lead cancels `lead`; each tail product toggles in `work`
+                for t in divisor[1]:
                     p = q + t
                     if (p + room) & guard:
                         raise packing.overflow(p)

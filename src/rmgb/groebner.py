@@ -52,27 +52,27 @@ def _update(packing: MonomialPacking, packed, active: list, pairs: list, h: int)
     stays), unless lm(g) and lm(h) are coprime; then the coprime ones go
     too (product criterion).  A queued pair ``(i, j)`` is dropped when
     lm(h) divides its lcm and that lcm differs from lcm(i, h) and
-    lcm(j, h) (chain criterion).  Then ``h`` joins the active set and
-    evicts each element whose lead lm(h) divides.
+    lcm(j, h) (chain criterion).  The queued pairs left keep their order,
+    and the new ones kept follow by g.  Then ``h`` joins the active set
+    and evicts each element whose lead lm(h) divides.
     """
     guard, lcm = packing.guard, packing.lcm
     hl = packed[h][0]
     new = [lcm(packed[g][0], hl) for g in active]  # a dropped pair's entry becomes None
-    kept = []  # lcms of the new pairs kept so far; coprime ones stay in here, to prune the others
+    # lcm(i, h) of an active i is a hit in the packing's lcm memo, filled just above
+    pairs[:] = [(lc, i, j) for lc, i, j in pairs if (lc - hl) & guard
+                or lc == lcm(packed[i][0], hl) or lc == lcm(packed[j][0], hl)]
     for k, (g, lc) in enumerate(zip(active, new)):
-        bound = lc | guard
-        # loops, not any() over a generator: this test is the update's inner loop
-        for other in () if lc == packed[g][0] + hl else new[k + 1:] + kept:
-            if (bound - other) & guard == guard:
-                new[k] = None
+        if lc == packed[g][0] + hl:
+            continue  # coprime leads: the pair goes, but its lcm stays to prune the others
+        new[k] = None  # so the test sees every other live lcm: the later ones and the kept earlier ones
+        for other in new:
+            if other is not None and not (lc - other) & guard:
                 break
         else:
-            kept.append(lc)
-    # lcm(i, h) of an active i is a hit in the packing's lcm memo, filled just above
-    pairs[:] = [(lc, i, j) for lc, i, j in pairs if ((lc | guard) - hl) & guard != guard
-                or lc == lcm(packed[i][0], hl) or lc == lcm(packed[j][0], hl)]
-    pairs += [(lc, g, h) for lc, g in zip(new, active) if lc is not None and lc != packed[g][0] + hl]
-    active[:] = [g for g in active if ((packed[g][0] | guard) - hl) & guard != guard] + [h]
+            new[k] = lc
+            pairs.append((lc, g, h))
+    active[:] = [g for g in active if (packed[g][0] - hl) & guard] + [h]
     return [packed[g] for g in active]
 
 
@@ -133,9 +133,10 @@ def is_reduced(basis, order: str = DEFAULT_ORDER) -> bool:
 def _is_reduced(packing: MonomialPacking, packed) -> bool:
     guard = packing.guard
     for i, (lead, tail) in enumerate(packed):
-        for j, (other, _) in enumerate(packed):
-            if i != j and any(((mono | guard) - other) & guard == guard for mono in (lead, *tail)):
-                return False
+        for mono in (lead, *tail):
+            for j, (other, _) in enumerate(packed):
+                if not (mono - other) & guard and i != j:
+                    return False
     return True
 
 
@@ -163,9 +164,10 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER):
     active, pairs = [], []
     for h in range(len(basis)):
         divisors = _update(packing, packed, active, pairs, h)
+    pairs.sort(reverse=True)  # so the least pair is the last
     additions = 0
     while pairs:
-        _, i, j = pairs.pop(pairs.index(min(pairs)))
+        _, i, j = pairs.pop()
         r = packed_remainder(_packed_s(packed[i], packed[j], packing), divisors, packing)
         if not r:
             continue
@@ -175,6 +177,7 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER):
         if additions > MAX_ADDITIONS:
             raise RuntimeError(f"Buchberger completion exceeded {MAX_ADDITIONS} additions")
         divisors = _update(packing, packed, active, pairs, len(basis) - 1)
+        pairs.sort(reverse=True)
     return tuple(basis)
 
 

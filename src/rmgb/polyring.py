@@ -35,9 +35,10 @@ variable, still fits its field.  With that invariant:
 
 * int comparison is the monomial order;
 * a product is an int addition and a quotient a subtraction;
-* ``a`` divides ``b`` exactly when ``((b | G) - a) & G == G``, where
-  ``G`` has every guard bit set: no field borrows from its neighbour,
-  and a field keeps its guard bit exactly when ``b_i >= a_i``;
+* ``a`` divides ``b`` exactly when ``(b - a) & G == 0``, ``G`` having
+  every guard bit set: the lowest field with ``b_i < a_i`` borrows and
+  sets its guard bit.  In ``(b | G) - a`` no field borrows, and a field
+  keeps its guard bit exactly when ``b_i >= a_i``, as ``lcm`` reads;
 * a product exceeds the cap exactly when adding
   ``2^(FIELD_BITS - 1) - 1 - EXPONENT_CAP`` to each field sets a guard
   bit.
@@ -249,8 +250,7 @@ class MonomialPacking:
         return Poly._make(self.m, frozenset(map(self.unpack, packed)))
 
     def divides(self, a: int, b: int) -> bool:
-        guard = self.guard
-        return ((b | guard) - a) & guard == guard
+        return not (b - a) & self.guard
 
     def _lcm(self, a: int, b: int) -> int:
         guard = self.guard
@@ -295,7 +295,7 @@ def pack_polys(polys, order: str):
         raise ValueError("need at least one polynomial")
     for k, p in enumerate(polys, start=1):
         Poly._check_compatible(polys[0], p)  # k = 1 checks polys[0] is a Poly too
-        if not p:
+        if not p.support:
             raise ValueError(f"polynomial {k} of {len(polys)} is zero; expected nonzero polynomials")
     packing = shared_packing(polys[0].m, order)
     return packing, [packing.split(p) for p in polys]
