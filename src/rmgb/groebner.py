@@ -117,10 +117,6 @@ def _failing_pair(packing: MonomialPacking, packed) -> tuple | None:
     return None
 
 
-def is_groebner(basis, order: str = DEFAULT_ORDER) -> bool:
-    return _failing_pair(*pack_polys(basis, order)) is None
-
-
 def is_reduced(basis, order: str = DEFAULT_ORDER) -> bool:
     """True when no monomial of any element is divisible by another's lead.
 
@@ -194,7 +190,10 @@ def reduce_basis(basis, order: str = DEFAULT_ORDER):
     packed.sort(key=lambda pair: pair[0])
     reduced = []
     for lead, tail in packed:
-        if not any(packing.divides(other, lead) for other, _ in reduced):
+        for other, _ in reduced:
+            if not (lead - other) & packing.guard:
+                break
+        else:
             r = packed_remainder({lead, *tail}, reduced, packing)
             reduced.append((r[0], r[1:]))
     return tuple(packing.poly((lead, *tail)) for lead, tail in reversed(reduced))

@@ -196,7 +196,7 @@ class MonomialPacking:
 
     The layout and the guard-bit invariant are in the module docstring;
     they hold only for monomials whose exponents are at most
-    ``EXPONENT_CAP``.  Hot loops read ``guard`` (every guard bit) and
+    ``EXPONENT_CAP``.  Callers read ``guard`` (every guard bit) and
     ``room`` (the per-field headroom below the guard bit that is left
     over the cap) and test divisibility and overflow inline.  ``pack``,
     ``unpack`` and ``lcm`` memoize ``_pack``, ``_unpack`` and ``_lcm``.
@@ -248,9 +248,6 @@ class MonomialPacking:
 
     def poly(self, packed) -> Poly:
         return Poly._make(self.m, frozenset(map(self.unpack, packed)))
-
-    def divides(self, a: int, b: int) -> bool:
-        return not (b - a) & self.guard
 
     def _lcm(self, a: int, b: int) -> int:
         guard = self.guard

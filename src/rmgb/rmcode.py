@@ -64,9 +64,6 @@ class CodeParams(Record):
         self._set("nu", m - l)
         self._set("t", ((1 << l) - 1) // 2)
 
-    def __hash__(self):  # written out: hash(params) keys caches, and the base's takes ~1.5x as long
-        return hash((self.m, self.l))
-
     @property
     def dim(self) -> int:
         """Dimension: sum of binomial(m, j) for j from l to m."""

@@ -192,6 +192,13 @@ def test_missing_basis_file(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_basis_file_of_blank_and_comment_lines(capsys, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("\n# no polynomial here\n   \n")
+    code, out, err = run(capsys, "groebner-check", "-m", "2", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: no polynomials found\n")
+
+
 def test_simulate_deterministic(capsys, tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -328,6 +335,14 @@ def test_simulate_bad_mode(capsys, tmp_path, mode):
         "--mode", mode, "--seed", "0", "--out", str(tmp_path / "x.csv"),
     )
     assert code == 2 and "mode" in err
+
+
+def test_simulate_rejects_zero_trials(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, "simulate", "-m", "3", "-l", "2", "--trials", "0",
+                            "--mode", "fixed:1", "--out", str(out))
+    assert (code, stdout, err) == (2, "", "error: --trials must be at least 1\n")
+    assert not out.exists()
 
 
 def test_selftest_small(capsys):

@@ -9,7 +9,6 @@ from rmgb.groebner import (
     buchberger_complete,
     check_basis,
     ideal_member,
-    is_groebner,
     is_reduced,
     reduce_basis,
     s_polynomial,
@@ -77,7 +76,7 @@ def test_buchberger_completion_frozen():
     f2 = parse_poly("x2^2 + 1", 2)
     completed = buchberger_complete([f1, f2], GRLEX)
     assert completed == (f1, f2, parse_poly("x1 + 1", 2))
-    assert is_groebner(completed, GRLEX)
+    assert check_basis(completed, GRLEX).is_groebner
     # idempotence: completing a Groebner basis adds nothing
     assert buchberger_complete(completed, GRLEX) == completed
     assert buchberger_complete(G32(), GRLEX) == tuple(G32())
@@ -95,7 +94,7 @@ def test_reduce_basis_of_completion():
 def test_reduce_basis_drops_redundant_generator():
     g12, g13, g23 = G32()
     padded = [g12 + g13, g12, g13, g23]
-    assert is_groebner(padded, GRLEX)
+    assert check_basis(padded, GRLEX).is_groebner
     assert reduce_basis(padded, GRLEX) == tuple(G32())
 
 
@@ -177,7 +176,6 @@ def test_check_basis_skips_pair_with_coprime_leads():
     basis = [parse_poly("x1^4 + x2", 2), parse_poly("x2^4 + x1", 2)]
     report = check_basis(basis)
     assert report.is_groebner and report.is_reduced and report.failing_pair is None
-    assert is_groebner(basis)
 
 
 # every entry point into the packed toolkit, called on one list of polynomials
@@ -185,7 +183,6 @@ LIST_CALLS = {
     "divide": lambda polys: divide(parse_poly("x1", 2), polys),
     "s_polynomial": lambda polys: s_polynomial(*polys),
     "check_basis": check_basis,
-    "is_groebner": is_groebner,
     "is_reduced": is_reduced,
     "buchberger_complete": buchberger_complete,
     "reduce_basis": reduce_basis,

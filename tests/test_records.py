@@ -67,6 +67,15 @@ def test_equal_values_hash_equal_and_other_classes_differ():
     assert decode(word, CodeParams(3, 1)).params != decode(word, CodeParams(3, 2)).params
 
 
+def test_code_params_hash_as_their_field_tuple():
+    # the caches keyed on CodeParams see the same hash as the tuple (m, l)
+    for m in range(1, 17):
+        for l in range(m + 1):
+            params = CodeParams(m, l)
+            assert hash(params) == hash((m, l)) and params == CodeParams(m, l)
+            assert repr(params) == f"CodeParams(m={m}, l={l})"
+
+
 def test_fields_cannot_be_assigned_or_deleted():
     for value, fields in samples():
         for name in fields + ("other",):

@@ -81,6 +81,8 @@ def test_word_validation():
         Word(3, 1) + Word(4, 1)
     with pytest.raises(ValueError):
         Word(3, 1).flip(4)
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \^: 'Word' and 'int'$"):
+        Word(4, 1) ^ 1
 
 
 def test_word_value_must_be_an_int_in_range():
