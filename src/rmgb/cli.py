@@ -16,7 +16,7 @@ import time
 from math import comb
 
 from . import selfcheck
-from .decoder import FAILURE, decode, random_error
+from .decoder import FAILURE, _check_error_mode, decode, random_error
 from .division import divide
 from .groebner import check_basis
 from .polyring import DEFAULT_ORDER, ORDERS, format_poly, parse_poly
@@ -155,6 +155,7 @@ def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     kind, weight, flip_prob = _parse_mode(args.mode)
+    _check_error_mode(params, kind, weight, flip_prob)  # before the CSV is opened
     rng = random.Random(args.seed)
     decoded_ok = failures = miscorrections = 0
     # rows are written as they come, so an interrupted run keeps them

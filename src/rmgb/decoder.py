@@ -49,6 +49,11 @@ weight lies at distance 1 from the codeword that differs in the bit
 whose variables are its odd halves.  Folding the word onto itself one
 variable at a time gives those parities in about 2n bit operations: the
 upper half's is that variable's, and the halves' XOR keeps the rest.
+In four variables the recursion ends sooner, at a table: RM(1, 4)
+(t = 3) and RM(2, 4) (t = 1) read each 16-bit word's error off 2^16
+entries.  A table holds every error of the radius-t ball around every
+codeword, and is exact because those balls do not overlap (2t is below
+the distance); each is built once, by the first decode that reaches it.
 
 Both decoders only find the error bits, or None, and one rule reads the
 result off them.  No error, or one heavier than t, is a failure; a zero
@@ -66,7 +71,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, log, log1p
 
 from .polyring import Poly, Record
@@ -169,10 +174,14 @@ def _nearest(y: int, k: int, r: int) -> int | None:
     """The codeword of RM(r, k) within t = (2^(k-r) - 1) // 2 of the 2^k-bit y, or None.
 
     RM(r, k) is M^(k-r) in k variables, and this is the (u | u + v)
-    recursion of the module docstring, with its extended-Hamming leaf.
+    recursion of the module docstring, with its extended-Hamming leaf and
+    its k = 4 tables for r = 1 and 2.
     It is bounded-distance decoding: a word farther than t from every
     codeword gives None, even where a nearest codeword exists.
     """
+    if k == 4 and 0 < r < 3:  # RM(1, 4) and RM(2, 4): read off a table
+        error = _leaf_table(r)[y]
+        return None if error == 0xFFFF else y ^ error
     if r >= k - 1:  # t = 0: every word, or every even-weight one, is a codeword
         return y if r == k or not y.bit_count() & 1 else None
     t = ((1 << (k - r)) - 1) // 2
@@ -203,6 +212,24 @@ def _nearest(y: int, k: int, r: int) -> int | None:
         if u is not None and (lo ^ u).bit_count() + (hi ^ v ^ u).bit_count() <= t:
             return u | (u ^ v) << half
     return None
+
+
+@lru_cache(maxsize=None)
+def _leaf_table(r: int):
+    """For each 16-bit word, its error to the codeword of RM(r, 4) within t, or 0xFFFF.
+
+    An ``array('H')``, built on first use from every error of the radius-t
+    ball around every codeword; the balls do not overlap, as 2t < 2^(4-r).
+    No error weighs 16.
+    """
+    from array import array  # here, so that import rmgb does not load it (~0.6 ms)
+    t = ((1 << (4 - r)) - 1) // 2
+    ball = [sum(1 << b for b in bits) for w in range(t + 1) for bits in itertools.combinations(range(16), w)]
+    table = array("H", [0xFFFF]) * (1 << 16)
+    for c in codeword_values.__wrapped__(CodeParams(4, 4 - r)):  # bypasses the cache: no second copy kept
+        for error in ball:
+            table[c ^ error] = error
+    return table
 
 
 def decode_search(v: Word, params: CodeParams) -> DecodeResult:
@@ -282,26 +309,30 @@ def random_error(params: CodeParams, mode: str, seed, *, weight=None, flip_prob=
     ``seed`` may be an int or an existing random.Random (useful for
     drawing several errors from one stream).
     """
+    _check_error_mode(params, mode, weight, flip_prob)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     n = params.n
     value = 0
     if mode == "fixed_weight":
-        if weight is None or not 0 <= weight <= n:
-            raise ValueError(f"fixed_weight mode needs a weight in 0..{n}")
         for pos in rng.sample(range(n), weight):
             value |= 1 << pos
-    elif mode == "bsc":
-        if flip_prob is None or not 0.0 <= flip_prob <= 1.0:
-            raise ValueError("bsc mode needs a flip probability in [0, 1]")
-        if flip_prob == 1.0:  # log1p(-1) is out of log's domain
-            value = (1 << n) - 1
-        elif flip_prob > 0.0:
-            log_q, pos = log1p(-flip_prob), 0
-            # P(gap >= k) = (1 - p)^k; compared as a float, as a tiny p makes it inf
-            while (gap := log(1.0 - rng.random()) / log_q) < n - pos:
-                pos += int(gap)
-                value |= 1 << pos
-                pos += 1
-    else:
-        raise ValueError(f"unknown error mode {mode!r}, expected fixed_weight or bsc")
+    elif flip_prob == 1.0:  # bsc from here on; log1p(-1) is out of log's domain
+        value = (1 << n) - 1
+    elif flip_prob > 0.0:
+        log_q, pos = log1p(-flip_prob), 0
+        # P(gap >= k) = (1 - p)^k; compared as a float, as a tiny p makes it inf
+        while (gap := log(1.0 - rng.random()) / log_q) < n - pos:
+            pos += int(gap)
+            value |= 1 << pos
+            pos += 1
     return Word(n, value)
+
+
+def _check_error_mode(params: CodeParams, mode: str, weight, flip_prob) -> None:
+    """Raise ValueError unless ``random_error`` can draw in this mode with these arguments."""
+    if mode == "fixed_weight" and (weight is None or not 0 <= weight <= params.n):
+        raise ValueError(f"fixed_weight mode needs a weight in 0..{params.n}")
+    if mode == "bsc" and (flip_prob is None or not 0.0 <= flip_prob <= 1.0):
+        raise ValueError("bsc mode needs a flip probability in [0, 1]")
+    if mode not in ("fixed_weight", "bsc"):
+        raise ValueError(f"unknown error mode {mode!r}, expected fixed_weight or bsc")

@@ -345,6 +345,20 @@ def test_simulate_rejects_zero_trials(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, message", [
+    ("fixed:99", "fixed_weight mode needs a weight in 0..16"),
+    ("fixed:-1", "fixed_weight mode needs a weight in 0..16"),
+    ("bsc:1.5", "bsc mode needs a flip probability in [0, 1]"),
+    ("bsc:-0.1", "bsc mode needs a flip probability in [0, 1]"),
+])
+def test_simulate_rejects_out_of_range_mode_before_writing(capsys, tmp_path, mode, message):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, "simulate", "-m", "4", "-l", "2", "--trials", "5",
+                            "--mode", mode, "--seed", "0", "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_selftest_small(capsys):
     for max_m in ("2", "4"):  # 4 is the advertised maximum
         code, out, _ = run(capsys, "selftest", max_m)

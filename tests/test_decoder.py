@@ -1,5 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,7 @@ from rmgb.decoder import (
     CORRECTED_LOW,
     CORRECTED_OMEGA,
     FAILURE,
+    _leaf_table,
     _nearest,
     decode,
     decode_search,
@@ -227,6 +233,42 @@ def test_extended_hamming_leaf_matches_brute_force(k):
     for y in range(1 << params.n):
         near = [c for c in (y, *(y ^ 1 << b for b in range(params.n))) if c in code]
         assert _nearest(y, k, k - 2) == (near[0] if near else None), y
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_leaf_table_is_the_radius_t_decoder(r):
+    # RM(1, 4) has t = 3 and RM(2, 4) t = 1: each entry is the sentinel or an error
+    # within t of a codeword, the entries fill every radius-t ball exactly, and
+    # _nearest reads them
+    params = CodeParams(4, 4 - r)
+    code = set(codeword_values(params))
+    table = _leaf_table(r)
+    assert len(table) == 1 << 16 and len(code) == 1 << params.dim
+    found = 0
+    for y, error in enumerate(table):
+        if error != 0xFFFF:
+            assert error.bit_count() <= params.t and y ^ error in code, y
+            found += 1
+        assert _nearest(y, 4, r) == (None if error == 0xFFFF else y ^ error), y
+    assert found == len(code) * sum(comb(16, w) for w in range(params.t + 1))
+
+
+def test_leaf_tables_are_built_on_first_use():
+    # a fresh process: importing rmgb and decoding a word within t of zero at
+    # (6, 3) returns before the recursion, so it builds no table and loads no
+    # array module; a word that recurses builds them once
+    script = ("import random, sys, rmgb; from rmgb.decoder import _leaf_table; "
+              "p = rmgb.CodeParams(6, 3); "
+              "r = rmgb.decode(rmgb.random_error(p, 'fixed_weight', 1, weight=3), p); "
+              "print(r.error_bits.bit_count(), _leaf_table.cache_info().currsize, 'array' in sys.modules); "
+              "c = rmgb.encode_bits(rmgb.random_message_bits(p, random.Random(2)), p); "
+              "r = rmgb.decode(c + rmgb.random_error(p, 'fixed_weight', 3, weight=3), p); "
+              "print(r.codeword == c, _leaf_table.cache_info().currsize > 0)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["3 0 False", "True True"]
 
 
 @pytest.mark.parametrize("m", range(2, 17))
