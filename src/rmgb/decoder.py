@@ -49,11 +49,14 @@ weight lies at distance 1 from the codeword that differs in the bit
 whose variables are its odd halves.  Folding the word onto itself one
 variable at a time gives those parities in about 2n bit operations: the
 upper half's is that variable's, and the halves' XOR keeps the rest.
-In four variables the recursion ends sooner, at a table: RM(1, 4)
-(t = 3) and RM(2, 4) (t = 1) read each 16-bit word's error off 2^16
-entries.  A table holds every error of the radius-t ball around every
-codeword, and is exact because those balls do not overlap (2t is below
-the distance); each is built once, by the first decode that reaches it.
+In four and five variables the recursion ends sooner, by syndrome
+decoding: RM(1, 4), RM(2, 4), RM(2, 5) and RM(3, 5) read the error off
+a table indexed by the sub-word's syndrome, the paper's remainder in the
+y basis (its coefficients of degree < l, before ``remainder_bits`` maps
+them back).  By the (u | u + v) split, a 32-bit word's in RM(r, 5) is
+its halves' XOR's in RM(r - 1, 4) beside its upper half's in RM(r, 4).
+Errors of weight at most t have distinct syndromes, as 2t < 2^l, so the
+tables are exact; the first decode to reach a leaf builds them.
 
 Both decoders only find the error bits, or None, and one rule reads the
 result off them.  No error, or one heavier than t, is a failure; a zero
@@ -71,7 +74,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, log, log1p
 
 from .polyring import Poly, Record
@@ -95,6 +98,8 @@ CORRECTED_OMEGA = "corrected_omega"
 FAILURE = "failure"
 
 SEARCH_LIMIT = 10**7  # most candidate sets decode_search may have to try
+_LEAF_TABLES = []  # filled once by _leaf_tables
+_NO_ERROR = 0xFFFFFFFF  # an error table's entry where no error within t has the syndrome
 
 
 def _check_length(v: Word, params: CodeParams) -> None:
@@ -175,13 +180,18 @@ def _nearest(y: int, k: int, r: int) -> int | None:
 
     RM(r, k) is M^(k-r) in k variables, and this is the (u | u + v)
     recursion of the module docstring, with its extended-Hamming leaf and
-    its k = 4 tables for r = 1 and 2.
+    its syndrome leaves at k = 4 (r = 1, 2) and k = 5 (r = 2, 3).
     It is bounded-distance decoding: a word farther than t from every
     codeword gives None, even where a nearest codeword exists.
     """
-    if k == 4 and 0 < r < 3:  # RM(1, 4) and RM(2, 4): read off a table
-        error = _leaf_table(r)[y]
-        return None if error == 0xFFFF else y ^ error
+    if k == 4 and 0 < r < 3:  # RM(1, 4) and RM(2, 4), by _leaf_syndrome's k = 4 rule inline
+        tables = _LEAF_TABLES or _leaf_tables()
+        error = tables[r][tables[0][y] >> 6 * r - 6]
+        return None if error == _NO_ERROR else y ^ error
+    if k == 5 and 1 < r < 4:  # RM(2, 5) and RM(3, 5)
+        tables = _LEAF_TABLES or _leaf_tables()
+        error = tables[r + 1][_leaf_syndrome(y, 5, r, tables[0])]
+        return None if error == _NO_ERROR else y ^ error
     if r >= k - 1:  # t = 0: every word, or every even-weight one, is a codeword
         return y if r == k or not y.bit_count() & 1 else None
     t = ((1 << (k - r)) - 1) // 2
@@ -214,22 +224,37 @@ def _nearest(y: int, k: int, r: int) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _leaf_table(r: int):
-    """For each 16-bit word, its error to the codeword of RM(r, 4) within t, or 0xFFFF.
+def _leaf_syndrome(y: int, k: int, r: int, low) -> int:
+    """The syndrome of the 2^k-bit y in RM(r, k), a leaf of ``_nearest``, off ``_leaf_tables``' ``low``."""
+    if k == 4:
+        return low[y] >> 6 * r - 6
+    lo, hi = y & 0xFFFF, y >> 16  # lo ^ hi's syndrome in RM(r - 1, 4), then hi's in RM(r, 4)
+    if r == 2:
+        return low[lo ^ hi] << 5 | low[hi] >> 6
+    return low[lo ^ hi] >> 6 << 1 | low[hi] >> 10
 
-    An ``array('H')``, built on first use from every error of the radius-t
-    ball around every codeword; the balls do not overlap, as 2t < 2^(4-r).
-    No error weighs 16.
+
+def _leaf_tables() -> list:
+    """``low``, then the error tables of RM(1, 4), RM(2, 4), RM(2, 5) and RM(3, 5), as ``array``s.
+
+    Entry w of ``low`` is the 16-bit w's coefficients of degree < 3 in the y basis, degree 0
+    highest, in ``subset_bits`` order; its top 11 - 6 (r - 1) bits are w's syndrome in RM(r, 4).
+    An error table holds, at each syndrome, its error of weight <= t, or _NO_ERROR.
     """
     from array import array  # here, so that import rmgb does not load it (~0.6 ms)
-    t = ((1 << (4 - r)) - 1) // 2
-    ball = [sum(1 << b for b in bits) for w in range(t + 1) for bits in itertools.combinations(range(16), w)]
-    table = array("H", [0xFFFF]) * (1 << 16)
-    for c in codeword_values.__wrapped__(CodeParams(4, 4 - r)):  # bypasses the cache: no second copy kept
-        for error in ball:
-            table[c ^ error] = error
-    return table
+    low, order = array("H", [0]), subset_bits(4, (0, 1, 2))
+    for j in range(16):  # low is linear, and bit j adds j's submasks: double low by it, as one int XOR
+        column = array("H", [sum(1 << 10 - i for i, b in enumerate(order) if b & j == b)]) * len(low)
+        low.frombytes((int.from_bytes(low, "big") ^ int.from_bytes(column, "big")).to_bytes(len(column) * 2, "big"))
+    tables = [low]
+    for k, r in ((4, 1), (4, 2), (5, 2), (5, 3)):
+        table = array("I", [_NO_ERROR]) * (1 << sum(comb(k, j) for j in range(k - r)))
+        for weight in range(((1 << (k - r)) - 1) // 2 + 1):  # the radius-t ball
+            for error in map(sum, itertools.combinations([1 << b for b in range(1 << k)], weight)):
+                table[_leaf_syndrome(error, k, r, low)] = error
+        tables.append(table)
+    _LEAF_TABLES[:] = tables
+    return _LEAF_TABLES
 
 
 def decode_search(v: Word, params: CodeParams) -> DecodeResult:

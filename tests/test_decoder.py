@@ -13,7 +13,9 @@ from rmgb.decoder import (
     CORRECTED_LOW,
     CORRECTED_OMEGA,
     FAILURE,
-    _leaf_table,
+    _NO_ERROR,
+    _leaf_syndrome,
+    _leaf_tables,
     _nearest,
     decode,
     decode_search,
@@ -35,6 +37,9 @@ from rmgb.rmcode import (
     poly_to_word,
     random_message,
     random_message_bits,
+    rank,
+    subset_bits,
+    superset_xor,
     word_to_poly,
 )
 from tuple_toolkit import subset_monomial
@@ -237,38 +242,92 @@ def test_extended_hamming_leaf_matches_brute_force(k):
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_leaf_table_is_the_radius_t_decoder(r):
-    # RM(1, 4) has t = 3 and RM(2, 4) t = 1: each entry is the sentinel or an error
-    # within t of a codeword, the entries fill every radius-t ball exactly, and
-    # _nearest reads them
+    # RM(1, 4) has t = 3 and RM(2, 4) t = 1: on every 16-bit word the leaf
+    # returns None or a codeword within t, and it finds one for every word in
+    # the radius-t balls, which do not overlap
     params = CodeParams(4, 4 - r)
     code = set(codeword_values(params))
-    table = _leaf_table(r)
-    assert len(table) == 1 << 16 and len(code) == 1 << params.dim
+    assert len(code) == 1 << params.dim
     found = 0
-    for y, error in enumerate(table):
-        if error != 0xFFFF:
-            assert error.bit_count() <= params.t and y ^ error in code, y
+    for y in range(1 << 16):
+        c = _nearest(y, 4, r)
+        if c is not None:
+            assert c in code and (y ^ c).bit_count() <= params.t, y
             found += 1
-        assert _nearest(y, 4, r) == (None if error == 0xFFFF else y ^ error), y
     assert found == len(code) * sum(comb(16, w) for w in range(params.t + 1))
+
+
+LEAVES = [(4, 1), (4, 2), (5, 2), (5, 3)]
+
+
+@pytest.mark.parametrize("k, r", LEAVES)
+def test_leaf_syndrome_is_the_low_degree_y_coefficients(k, r):
+    # the leaf syndrome is the word's coefficients of degree < l = k - r in the
+    # y basis (remainder_bits before it maps them back): for k = 5 those of the
+    # lower half's positions, then the upper half's, each in subset_bits order;
+    # a linear map whose kernel is exactly RM(r, k)
+    params = CodeParams(k, k - r)
+    order = list(subset_bits(4, range(4 - r)))
+    if k == 5:
+        order = list(subset_bits(4, range(5 - r))) + [16 + b for b in order]
+    low = _leaf_tables()[0]
+    rng = random.Random(11)
+    for y in [1 << b for b in range(params.n)] + [rng.getrandbits(params.n) for _ in range(2000)]:
+        x = superset_xor(y, k)
+        assert _leaf_syndrome(y, k, r, low) == int("".join(str(x >> b & 1) for b in order), 2), y
+    rows = [encode_bits(1 << b, params).value for b in subset_bits(k, range(r + 1))]
+    assert [_leaf_syndrome(row, k, r, low) for row in rows] == [0] * params.dim
+    assert rank([_leaf_syndrome(1 << b, k, r, low) for b in range(params.n)]) == params.n - params.dim
+
+
+@pytest.mark.parametrize("k, r", LEAVES)
+def test_leaf_error_table_holds_the_radius_t_ball(k, r):
+    # one entry per syndrome; each one the sentinel or an error of weight <= t
+    # at its own syndrome, and every error of weight <= t is there
+    params = CodeParams(k, k - r)
+    tables = _leaf_tables()
+    table = tables[1 + LEAVES.index((k, r))]
+    assert len(table) == 1 << params.n - params.dim
+    found = 0
+    for s, error in enumerate(table):
+        if error != _NO_ERROR:
+            assert error.bit_count() <= params.t and _leaf_syndrome(error, k, r, tables[0]) == s, s
+            found += 1
+    assert found == sum(comb(params.n, w) for w in range(params.t + 1))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_nearest_at_k5_matches_decode_search(r):
+    # RM(2, 5) and RM(3, 5) are syndrome leaves and RM(1, 5) recurses to the
+    # k = 4 leaves: codewords plus 0..t + 1 flips, and random words
+    params = CodeParams(5, 5 - r)
+    rng = random.Random(12 + r)
+    words = [rng.getrandbits(32) for _ in range(100)]
+    for flips in range(params.t + 2):
+        for _ in range(60):
+            c = encode_bits(random_message_bits(params, rng), params).value
+            words.append(c ^ random_error(params, "fixed_weight", rng, weight=flips).value)
+    for y in words:
+        expected = decode_search(Word(32, y), params).codeword
+        assert _nearest(y, 5, r) == (None if expected is None else expected.value), y
 
 
 def test_leaf_tables_are_built_on_first_use():
     # a fresh process: importing rmgb and decoding a word within t of zero at
     # (6, 3) returns before the recursion, so it builds no table and loads no
     # array module; a word that recurses builds them once
-    script = ("import random, sys, rmgb; from rmgb.decoder import _leaf_table; "
+    script = ("import random, sys, rmgb; from rmgb import decoder; "
               "p = rmgb.CodeParams(6, 3); "
               "r = rmgb.decode(rmgb.random_error(p, 'fixed_weight', 1, weight=3), p); "
-              "print(r.error_bits.bit_count(), _leaf_table.cache_info().currsize, 'array' in sys.modules); "
+              "print(r.error_bits.bit_count(), len(decoder._LEAF_TABLES), 'array' in sys.modules); "
               "c = rmgb.encode_bits(rmgb.random_message_bits(p, random.Random(2)), p); "
               "r = rmgb.decode(c + rmgb.random_error(p, 'fixed_weight', 3, weight=3), p); "
-              "print(r.codeword == c, _leaf_table.cache_info().currsize > 0)")
+              "print(r.codeword == c, len(decoder._LEAF_TABLES))")
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["3 0 False", "True True"]
+    assert proc.stdout.splitlines() == ["3 0 False", "True 5"]
 
 
 @pytest.mark.parametrize("m", range(2, 17))
