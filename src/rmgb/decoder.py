@@ -41,22 +41,25 @@ most t = 2^(l-1) - 1 together, so one of them weighs at most
 2^(l-2) - 1, the radius of M^(l-1)(A_{m-1}); the first copy whose
 decoding lies within t of the whole word is taken.  A codeword within t
 is unique, so the answer is exact, and a word beyond t of every codeword
-fails.  The recursion stops at l = 2, t = 1: M^2 in k variables is the
-extended Hamming code, and its dual M^(k-1) is spanned by the all-ones
-word and, per variable, the half of the bits b that contain it.  So a
-codeword has even weight on the word and on each half, and a word of odd
-weight lies at distance 1 from the codeword that differs in the bit
-whose variables are its odd halves.  Folding the word onto itself one
-variable at a time gives those parities in about 2n bit operations: the
-upper half's is that variable's, and the halves' XOR keeps the rest.
-In four and five variables the recursion ends sooner, by syndrome
-decoding: RM(1, 4), RM(2, 4), RM(2, 5) and RM(3, 5) read the error off
-a table indexed by the sub-word's syndrome, the paper's remainder in the
-y basis (its coefficients of degree < l, before ``remainder_bits`` maps
-them back).  By the (u | u + v) split, a 32-bit word's in RM(r, 5) is
-its halves' XOR's in RM(r - 1, 4) beside its upper half's in RM(r, 4).
-Errors of weight at most t have distinct syndromes, as 2t < 2^l, so the
-tables are exact; the first decode to reach a leaf builds them.
+fails.  Beside t = 0 the recursion has three kinds of leaf.  At
+l = 2, t = 1, M^2 in k variables is the extended Hamming code, and its
+dual M^(k-1) is spanned by the all-ones word and, per variable, the half
+of the bits b that contain it.  So a codeword has even weight on the
+word and on each half, and a word of odd weight lies at distance 1 from
+the codeword that differs in the bit whose variables are its odd halves.
+Folding the word onto itself one variable at a time gives those parities
+in about 2n bit operations: the upper half's is that variable's, and the
+halves' XOR keeps the rest.  That dual, RM(1, k), and RM(0, k) = M^k
+take one step, Reed's majority vote (Reed 1954; MacWilliams and Sloane,
+ch. 13 §6): a codeword's bits at b and b ^ 2^j differ on all 2^(k-1)
+such pairs or on none, and an error bit spoils one pair, so within
+t = 2^(k-2) - 1 each variable's majority is right; all ones is added if
+that brings the word within t.  RM(2, 5) and RM(3, 5) read the error off
+a table indexed by the syndrome, the paper's remainder in the y basis
+(its coefficients of degree < l): that of the halves' XOR in
+RM(r - 1, 4) beside that of the upper half in RM(r, 4).  Errors of
+weight at most t have distinct syndromes, as 2t < 2^l, so the tables are
+exact; the first decode to reach a leaf builds them.
 
 Both decoders only find the error bits, or None, and one rule reads the
 result off them.  No error, or one heavier than t, is a failure; a zero
@@ -64,8 +67,7 @@ error leaves the word clean.  Otherwise the codeword is the word plus
 the error, and by the dichotomy the status is ``corrected_omega`` when
 some location has |I| >= l, with those locations as the chosen set S,
 and ``corrected_low`` when none has.  So status and locations agree
-between the decoders by construction; only the error search differs.
-For errors of weight at most t the recovered codeword is exact.  A
+between the decoders by construction; only the error search differs.  A
 ``DecodeResult`` holds the error as bits, and builds its ``error``
 polynomial and its chosen locations only when they are first read.
 """
@@ -81,6 +83,7 @@ from .polyring import Poly, Record
 from .rmcode import (
     CodeParams,
     Word,
+    _half_masks,
     _low_degree_mask,
     bit_subset,
     codeword_values,
@@ -179,18 +182,13 @@ def _nearest(y: int, k: int, r: int) -> int | None:
     """The codeword of RM(r, k) within t = (2^(k-r) - 1) // 2 of the 2^k-bit y, or None.
 
     RM(r, k) is M^(k-r) in k variables, and this is the (u | u + v)
-    recursion of the module docstring, with its extended-Hamming leaf and
-    its syndrome leaves at k = 4 (r = 1, 2) and k = 5 (r = 2, 3).
-    It is bounded-distance decoding: a word farther than t from every
+    recursion of the module docstring, with its three kinds of leaf.  It
+    is bounded-distance decoding: a word farther than t from every
     codeword gives None, even where a nearest codeword exists.
     """
-    if k == 4 and 0 < r < 3:  # RM(1, 4) and RM(2, 4), by _leaf_syndrome's k = 4 rule inline
-        tables = _LEAF_TABLES or _leaf_tables()
-        error = tables[r][tables[0][y] >> 6 * r - 6]
-        return None if error == _NO_ERROR else y ^ error
     if k == 5 and 1 < r < 4:  # RM(2, 5) and RM(3, 5)
         tables = _LEAF_TABLES or _leaf_tables()
-        error = tables[r + 1][_leaf_syndrome(y, 5, r, tables[0])]
+        error = tables[r - 1][_leaf_syndrome(y, r, tables[0])]
         return None if error == _NO_ERROR else y ^ error
     if r >= k - 1:  # t = 0: every word, or every even-weight one, is a codeword
         return y if r == k or not y.bit_count() & 1 else None
@@ -199,10 +197,14 @@ def _nearest(y: int, k: int, r: int) -> int | None:
     weight = y.bit_count()
     if weight <= t:
         return 0
-    if 2 * half - weight <= t:
-        return (1 << 2 * half) - 1
-    if r == 0:
-        return None
+    if r <= 1:  # first order: Reed's vote per variable (none at r = 0), then the constant
+        u = 0
+        for step, mask in _half_masks(k) if r else ():
+            if (((y >> step) ^ y) & mask).bit_count() > half >> 1:
+                u ^= mask
+        if (y ^ u).bit_count() > t:
+            u ^= (1 << 2 * half) - 1
+        return u if (y ^ u).bit_count() <= t else None
     if r == k - 2:  # t = 1: the extended Hamming code, read off its half-parities
         w, flip, size = y, 0, half
         while size:  # one variable per pass; the first pass's parity ends at bit k - 1
@@ -224,10 +226,8 @@ def _nearest(y: int, k: int, r: int) -> int | None:
     return None
 
 
-def _leaf_syndrome(y: int, k: int, r: int, low) -> int:
-    """The syndrome of the 2^k-bit y in RM(r, k), a leaf of ``_nearest``, off ``_leaf_tables``' ``low``."""
-    if k == 4:
-        return low[y] >> 6 * r - 6
+def _leaf_syndrome(y: int, r: int, low) -> int:
+    """The syndrome of the 32-bit y in RM(r, 5), r = 2 or 3, a leaf of ``_nearest``, off ``_leaf_tables``' ``low``."""
     lo, hi = y & 0xFFFF, y >> 16  # lo ^ hi's syndrome in RM(r - 1, 4), then hi's in RM(r, 4)
     if r == 2:
         return low[lo ^ hi] << 5 | low[hi] >> 6
@@ -235,7 +235,7 @@ def _leaf_syndrome(y: int, k: int, r: int, low) -> int:
 
 
 def _leaf_tables() -> list:
-    """``low``, then the error tables of RM(1, 4), RM(2, 4), RM(2, 5) and RM(3, 5), as ``array``s.
+    """``low``, then the error tables of RM(2, 5) and RM(3, 5), as ``array``s.
 
     Entry w of ``low`` is the 16-bit w's coefficients of degree < 3 in the y basis, degree 0
     highest, in ``subset_bits`` order; its top 11 - 6 (r - 1) bits are w's syndrome in RM(r, 4).
@@ -247,11 +247,11 @@ def _leaf_tables() -> list:
         column = array("H", [sum(1 << 10 - i for i, b in enumerate(order) if b & j == b)]) * len(low)
         low.frombytes((int.from_bytes(low, "big") ^ int.from_bytes(column, "big")).to_bytes(len(column) * 2, "big"))
     tables = [low]
-    for k, r in ((4, 1), (4, 2), (5, 2), (5, 3)):
-        table = array("I", [_NO_ERROR]) * (1 << sum(comb(k, j) for j in range(k - r)))
-        for weight in range(((1 << (k - r)) - 1) // 2 + 1):  # the radius-t ball
-            for error in map(sum, itertools.combinations([1 << b for b in range(1 << k)], weight)):
-                table[_leaf_syndrome(error, k, r, low)] = error
+    for r in (2, 3):
+        table = array("I", [_NO_ERROR]) * (1 << sum(comb(5, j) for j in range(5 - r)))
+        for weight in range(((1 << (5 - r)) - 1) // 2 + 1):  # the radius-t ball
+            for error in map(sum, itertools.combinations([1 << b for b in range(32)], weight)):
+                table[_leaf_syndrome(error, r, low)] = error
         tables.append(table)
     _LEAF_TABLES[:] = tables
     return _LEAF_TABLES
@@ -355,9 +355,9 @@ def random_error(params: CodeParams, mode: str, seed, *, weight=None, flip_prob=
 
 def _check_error_mode(params: CodeParams, mode: str, weight, flip_prob) -> None:
     """Raise ValueError unless ``random_error`` can draw in this mode with these arguments."""
-    if mode == "fixed_weight" and (weight is None or not 0 <= weight <= params.n):
+    if mode == "fixed_weight" and not (isinstance(weight, int) and 0 <= weight <= params.n):
         raise ValueError(f"fixed_weight mode needs a weight in 0..{params.n}")
-    if mode == "bsc" and (flip_prob is None or not 0.0 <= flip_prob <= 1.0):
+    if mode == "bsc" and not (isinstance(flip_prob, (int, float)) and 0.0 <= flip_prob <= 1.0):
         raise ValueError("bsc mode needs a flip probability in [0, 1]")
     if mode not in ("fixed_weight", "bsc"):
         raise ValueError(f"unknown error mode {mode!r}, expected fixed_weight or bsc")

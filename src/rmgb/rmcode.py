@@ -54,9 +54,9 @@ class CodeParams(Record):
     _fields = ("m", "l")
 
     def __init__(self, m: int, l: int):
-        if not 1 <= m <= MAX_VARS:
+        if not (isinstance(m, int) and 1 <= m <= MAX_VARS):
             raise ValueError(f"m must be in 1..{MAX_VARS}, got {m}")
-        if not 0 <= l <= m:
+        if not (isinstance(l, int) and 0 <= l <= m):
             raise ValueError(f"l must be in 0..m, got {l}")
         self._set("m", m)
         self._set("l", l)
@@ -235,7 +235,7 @@ def groebner_basis(params: CodeParams):
 
 def square_relations(m: int):
     """The quotient relations X_i^2 - 1, one per variable."""
-    if not 1 <= m <= MAX_VARS:
+    if not (isinstance(m, int) and 1 <= m <= MAX_VARS):
         raise ValueError(f"m must be in 1..{MAX_VARS}, got {m}")
     out = []
     for i in range(1, m + 1):

@@ -3,11 +3,13 @@ import os
 import random
 import subprocess
 import sys
+from functools import cache
 from math import comb
 from pathlib import Path
 
 import pytest
 
+from rmgb import decoder
 from rmgb.decoder import (
     CLEAN,
     CORRECTED_LOW,
@@ -241,10 +243,10 @@ def test_extended_hamming_leaf_matches_brute_force(k):
 
 
 @pytest.mark.parametrize("r", [1, 2])
-def test_leaf_table_is_the_radius_t_decoder(r):
-    # RM(1, 4) has t = 3 and RM(2, 4) t = 1: on every 16-bit word the leaf
-    # returns None or a codeword within t, and it finds one for every word in
-    # the radius-t balls, which do not overlap
+def test_nearest_at_k4_is_the_radius_t_decoder(r):
+    # RM(1, 4) has t = 3 (Reed's vote) and RM(2, 4) t = 1 (the Hamming fold):
+    # on every 16-bit word _nearest returns None or a codeword within t, and it
+    # finds one for every word in the radius-t balls, which do not overlap
     params = CodeParams(4, 4 - r)
     code = set(codeword_values(params))
     assert len(code) == 1 << params.dim
@@ -257,27 +259,29 @@ def test_leaf_table_is_the_radius_t_decoder(r):
     assert found == len(code) * sum(comb(16, w) for w in range(params.t + 1))
 
 
-LEAVES = [(4, 1), (4, 2), (5, 2), (5, 3)]
+LEAVES = [(5, 2), (5, 3)]
 
 
-@pytest.mark.parametrize("k, r", LEAVES)
+@pytest.mark.parametrize("k, r", [(4, 1), (4, 2), *LEAVES])
 def test_leaf_syndrome_is_the_low_degree_y_coefficients(k, r):
     # the leaf syndrome is the word's coefficients of degree < l = k - r in the
     # y basis (remainder_bits before it maps them back): for k = 5 those of the
     # lower half's positions, then the upper half's, each in subset_bits order;
-    # a linear map whose kernel is exactly RM(r, k)
+    # a linear map whose kernel is exactly RM(r, k).  At k = 4 it is the top
+    # 11 - 6 (r - 1) bits of low, which the k = 5 rule reads for both halves
     params = CodeParams(k, k - r)
     order = list(subset_bits(4, range(4 - r)))
     if k == 5:
         order = list(subset_bits(4, range(5 - r))) + [16 + b for b in order]
     low = _leaf_tables()[0]
+    leaf_syndrome = (lambda y: low[y] >> 6 * r - 6) if k == 4 else (lambda y: _leaf_syndrome(y, r, low))
     rng = random.Random(11)
     for y in [1 << b for b in range(params.n)] + [rng.getrandbits(params.n) for _ in range(2000)]:
         x = superset_xor(y, k)
-        assert _leaf_syndrome(y, k, r, low) == int("".join(str(x >> b & 1) for b in order), 2), y
+        assert leaf_syndrome(y) == int("".join(str(x >> b & 1) for b in order), 2), y
     rows = [encode_bits(1 << b, params).value for b in subset_bits(k, range(r + 1))]
-    assert [_leaf_syndrome(row, k, r, low) for row in rows] == [0] * params.dim
-    assert rank([_leaf_syndrome(1 << b, k, r, low) for b in range(params.n)]) == params.n - params.dim
+    assert [leaf_syndrome(row) for row in rows] == [0] * params.dim
+    assert rank([leaf_syndrome(1 << b) for b in range(params.n)]) == params.n - params.dim
 
 
 @pytest.mark.parametrize("k, r", LEAVES)
@@ -291,15 +295,15 @@ def test_leaf_error_table_holds_the_radius_t_ball(k, r):
     found = 0
     for s, error in enumerate(table):
         if error != _NO_ERROR:
-            assert error.bit_count() <= params.t and _leaf_syndrome(error, k, r, tables[0]) == s, s
+            assert error.bit_count() <= params.t and _leaf_syndrome(error, r, tables[0]) == s, s
             found += 1
     assert found == sum(comb(params.n, w) for w in range(params.t + 1))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_nearest_at_k5_matches_decode_search(r):
-    # RM(2, 5) and RM(3, 5) are syndrome leaves and RM(1, 5) recurses to the
-    # k = 4 leaves: codewords plus 0..t + 1 flips, and random words
+    # RM(2, 5) and RM(3, 5) are syndrome leaves and RM(1, 5) takes Reed's
+    # vote: codewords plus 0..t + 1 flips, and random words
     params = CodeParams(5, 5 - r)
     rng = random.Random(12 + r)
     words = [rng.getrandbits(32) for _ in range(100)]
@@ -310,6 +314,61 @@ def test_nearest_at_k5_matches_decode_search(r):
     for y in words:
         expected = decode_search(Word(32, y), params).codeword
         assert _nearest(y, 5, r) == (None if expected is None else expected.value), y
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_first_order_step_is_the_radius_t_decoder(k):
+    # RM(1, k) by Reed's vote, against a scan of all 2^(k+1) codewords for the
+    # one within t: uniform words, and codewords plus 0, t - 1, t, t + 1 and
+    # t + 2 flips, where the vote's majorities come closest to a tie
+    params = CodeParams(k, k - 1)
+    code = [0]
+    for b in subset_bits(k, (0, 1)):
+        row = encode_bits(1 << b, params).value
+        code += [c ^ row for c in code]
+    assert len(set(code)) == 1 << k + 1
+    rng = random.Random(f"first order {k}")
+    t = params.t
+    words = [rng.getrandbits(params.n) for _ in range(40)]
+    for flips in (0, t - 1, t, t + 1, t + 2):
+        words += [rng.choice(code) ^ random_error(params, "fixed_weight", rng, weight=flips).value for _ in range(40)]
+    for y in words:
+        near = [c for c in code if (y ^ c).bit_count() <= t]
+        assert _nearest(y, k, 1) == (near[0] if near else None), y
+
+
+@cache
+def call_bound(k: int, r: int) -> int:
+    """The most ``_nearest`` calls that a 2^k-bit word can cost in RM(r, k).
+
+    One at a leaf (r <= 1, r >= k - 2, or the RM(2, 5) table), and at a
+    split 1 + T(k - 1, r - 1) + 2 T(k - 1, r): the v-decode and both u-copies.
+    """
+    if r <= 1 or r >= k - 2 or (k, r) == (5, 2):
+        return 1
+    return 1 + call_bound(k - 1, r - 1) + 2 * call_bound(k - 1, r)
+
+
+def test_nearest_calls_stay_within_the_worst_case_bound(monkeypatch):
+    # a wrapper on the module global counts the recursion's calls too
+    assert [call_bound(12, 4), call_bound(16, 4)] == [2206, 87550]
+    calls, inner = [], decoder._nearest
+
+    def counted(y, k, r):
+        calls.append((k, r))
+        return inner(y, k, r)
+
+    monkeypatch.setattr(decoder, "_nearest", counted)
+    for m, l in ((12, 8), (16, 12)):
+        params, rng = CodeParams(m, l), random.Random(f"call bound {m} {l}")
+        for _ in range(4):
+            c = encode_bits(random_message_bits(params, rng), params)
+            calls.clear()
+            assert decode(c + random_error(params, "fixed_weight", rng, weight=params.t), params).codeword == c
+            assert 1 < len(calls) <= call_bound(m, m - l)
+            calls.clear()
+            decode(Word(params.n, rng.getrandbits(params.n)), params)
+            assert 1 <= len(calls) <= call_bound(m, m - l)
 
 
 def test_leaf_tables_are_built_on_first_use():
@@ -327,7 +386,7 @@ def test_leaf_tables_are_built_on_first_use():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["3 0 False", "True 5"]
+    assert proc.stdout.splitlines() == ["3 0 False", "True 3"]
 
 
 @pytest.mark.parametrize("m", range(2, 17))
@@ -452,6 +511,18 @@ def test_random_error_shared_stream():
     rng = random.Random(1)
     draws = {random_error(params, "fixed_weight", rng, weight=1) for _ in range(30)}
     assert len(draws) > 1
+
+
+def test_non_integer_counts_are_rejected():
+    # each used to pass its range check and raise TypeError further on
+    with pytest.raises(ValueError, match=r"^fixed_weight mode needs a weight in 0\.\.8$"):
+        random_error(P32, "fixed_weight", 1, weight=2.5)
+    with pytest.raises(ValueError, match=r"^bsc mode needs a flip probability in \[0, 1\]$"):
+        random_error(P32, "bsc", 1, flip_prob="0.1")
+    with pytest.raises(ValueError, match=r"^m must be in 1\.\.16, got 2\.0$"):
+        CodeParams(2.0, 1)
+    with pytest.raises(ValueError, match=r"^l must be in 0\.\.m, got 1\.0$"):
+        CodeParams(3, 1.0)
 
 
 def test_random_error_bad_args():

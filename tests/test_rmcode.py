@@ -165,7 +165,7 @@ def test_groebner_basis_listing_order():
 def test_square_relations():
     assert [str(h) for h in square_relations(1)] == ["x1^2 + 1"]
     assert [str(h) for h in square_relations(3)] == ["x1^2 + 1", "x2^2 + 1", "x3^2 + 1"]
-    for m in (0, -1, 17):
+    for m in (0, -1, 17, 2.0):
         with pytest.raises(ValueError, match=f"^m must be in 1..16, got {m}$"):
             square_relations(m)
 
