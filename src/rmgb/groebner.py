@@ -6,13 +6,17 @@ per monomial, ordered as the monomial order) into a ``(lead, tail)``
 pair that the polynomial remembers.  It reduces with
 ``division.packed_remainder`` and unpacks only the polynomials it
 returns.  Buchberger completion keeps its packed basis for the whole
-run.  Completion and ``check_basis`` share one pair rule, ``_update``:
-the Gebauer-Moeller criteria (J. Symbolic Comput. 6, 1988).
+run.  ``check_basis`` reduces every pair by the same basis, so it uses
+``division.packed_normal_form`` with one memo for all of them; the
+divisors of completion and ``reduce_basis`` change at each step, and
+they stay on the classical kernel.  Completion and ``check_basis`` share
+one pair rule, ``_update``: the Gebauer-Moeller criteria (J. Symbolic
+Comput. 6, 1988).
 """
 
 from __future__ import annotations
 
-from .division import packed_remainder, remainder
+from .division import packed_normal_form, packed_remainder, remainder
 from .polyring import DEFAULT_ORDER, MonomialPacking, Poly, Record, pack_polys
 
 MAX_ADDITIONS = 10000  # S-remainders buchberger_complete may add before it gives up
@@ -100,6 +104,9 @@ def check_basis(basis, order: str = DEFAULT_ORDER) -> BasisReport:
     When one lead divides another, (g, h) is never formed because some
     e, g < e < h, with lm(e) | lm(g) evicted g; then k = e: (g, e) has
     j = e < h, and lcm(e, h) divides lcm(g, h) with i = e > g.
+
+    The pairs share one ``packed_normal_form`` memo, so each monomial is
+    reduced once for all of them.
     """
     packing, packed = pack_polys(basis, order)
     failing = _failing_pair(packing, packed)
@@ -110,8 +117,9 @@ def _failing_pair(packing: MonomialPacking, packed) -> tuple | None:
     active, pairs = [], []
     for h in range(len(packed)):
         _update(packing, packed, active, pairs, h)
+    memo = {}, []
     for _, i, j in pairs:
-        r = packed_remainder(_packed_s(packed[i], packed[j], packing), packed, packing)
+        r = packed_normal_form(_packed_s(packed[i], packed[j], packing), packed, packing, memo)
         if r:
             return i, j, packing.poly(r)
     return None

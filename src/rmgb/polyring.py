@@ -125,7 +125,7 @@ class Poly(Record):
     _fields = ("m", "support")  # so equality, hashing and pickles leave out the remembered split
 
     def __init__(self, m: int, monomials: Iterable[Monomial] = ()):
-        if not 1 <= m <= MAX_VARS:
+        if not (isinstance(m, int) and 1 <= m <= MAX_VARS):
             raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {m}")
         support: set = set()
         for mono in monomials:
@@ -310,6 +310,7 @@ def parse_poly(text: str, m: int) -> Poly:
     variable letter is case-insensitive and ``y`` is accepted as an
     alias for ``x``.  A ``-`` is treated as ``+`` since -1 = 1 mod 2.
     """
+    Poly(m)  # rejects a bad m before the terms use it
     stripped = "".join(text.split())
     if not stripped:
         raise ValueError("empty polynomial text")

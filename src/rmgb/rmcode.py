@@ -84,7 +84,7 @@ class Word(Record):
     __slots__ = _fields = ("n", "value")
 
     def __init__(self, n: int, value: int):
-        if n < 1:
+        if not (isinstance(n, int) and n >= 1):
             raise ValueError(f"word length must be positive, got {n}")
         if not isinstance(value, int):
             raise ValueError(f"word value must be an int, got {type(value).__name__}")

@@ -523,6 +523,12 @@ def test_non_integer_counts_are_rejected():
         CodeParams(2.0, 1)
     with pytest.raises(ValueError, match=r"^l must be in 0\.\.m, got 1\.0$"):
         CodeParams(3, 1.0)
+    # a word of length 8.5 used to construct and fail only when printed
+    with pytest.raises(ValueError, match=r"^word length must be positive, got 8\.5$"):
+        Word(8.5, 3)
+    for make in (lambda: parse_poly("x1", 2.0), lambda: Poly(2.0, [(1, 0)])):
+        with pytest.raises(ValueError, match=r"^variable count must be in 1\.\.16, got 2\.0$"):
+            make()
 
 
 def test_random_error_bad_args():
