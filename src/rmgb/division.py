@@ -41,10 +41,14 @@ run's.  When one passes the exponent cap, or the memo has no room left,
 the call runs classically, which raises where it always did, or
 succeeds.
 
-``groebner.check_basis`` reduces all its S-pairs with one memo.
-``divide`` keeps one memo per thread for the last divisor list it saw
-and uses it from the second call with the same list on, so a one-off
-division runs the classical kernel alone.  Completion and
+Each thread keeps one slot, ``_last``: the packing and divisor list of
+its last ``divide`` or ``groebner.check_basis``, and their memo once
+there is one.  ``check_basis`` reduces all its S-pairs with the slot's
+memo (``basis_memo``) and leaves it there.  ``divide`` uses it when the
+slot holds its divisors: from the first call after such a check, else
+from the second in a row, so a one-off division runs the classical
+kernel alone.  A memo's values depend only on its packing and divisors,
+so which call filled it changes no result.  Completion and
 ``reduce_basis`` change their divisor list at every step and stay
 classical.  A ``DivisionResult`` from the memo computes its quotients
 classically, when they are first read.
@@ -205,19 +209,26 @@ def _normal_value(x: int, divisors, packing: MonomialPacking, memo) -> int | Non
 
 
 class _LastDivisors(threading.local):
-    key = memo = None  # (packing, packed divisors) of this thread's last divide, and their memo once used
+    key = memo = None  # (packing, packed divisors) of this thread's last divide or check_basis, and their memo
 
 
 _last = _LastDivisors()
 
 
+def basis_memo(packing: MonomialPacking, packed) -> tuple:
+    """This thread's memo for ``packed`` divisors under ``packing``, put in its slot unless already there."""
+    if _last.key != (packing, packed) or _last.memo is None:
+        _last.key, _last.memo = (packing, packed), ({}, [])
+    return _last.memo
+
+
 def divide(f: Poly, divisors, order: str = DEFAULT_ORDER) -> DivisionResult:
     """Divide ``f`` by an ordered sequence of nonzero divisors.
 
-    From the second call in a row, in one thread, with equal divisors in
-    the same order and monomial order, the remainder comes from
-    ``packed_normal_form``, and the quotients are computed, classically,
-    when first read.
+    When this thread's last call here or to ``groebner.check_basis`` had
+    equal divisors in the same order and monomial order, the remainder
+    comes from ``packed_normal_form`` with that call's memo, and the
+    quotients are computed, classically, when first read.
     """
     packing, packed = pack_polys(divisors, order)
     if not isinstance(f, Poly) or f.m != packing.m:

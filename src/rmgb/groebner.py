@@ -7,16 +7,17 @@ pair that the polynomial remembers.  It reduces with
 ``division.packed_remainder`` and unpacks only the polynomials it
 returns.  Buchberger completion keeps its packed basis for the whole
 run.  ``check_basis`` reduces every pair by the same basis, so it uses
-``division.packed_normal_form`` with one memo for all of them; the
-divisors of completion and ``reduce_basis`` change at each step, and
-they stay on the classical kernel.  Completion and ``check_basis`` share
-one pair rule, ``_update``: the Gebauer-Moeller criteria (J. Symbolic
-Comput. 6, 1988).
+``division.packed_normal_form`` with one memo for all of them, kept in
+``division``'s per-thread slot, where a following ``divide`` by the
+same basis and order finds it.  The divisors of completion and
+``reduce_basis`` change at each step, and they stay on the classical
+kernel.  Completion and ``check_basis`` share one pair rule,
+``_update``: the Gebauer-Moeller criteria (J. Symbolic Comput. 6, 1988).
 """
 
 from __future__ import annotations
 
-from .division import packed_normal_form, packed_remainder, remainder
+from .division import basis_memo, packed_normal_form, packed_remainder, remainder
 from .polyring import DEFAULT_ORDER, MonomialPacking, Poly, Record, pack_polys
 
 MAX_ADDITIONS = 10000  # S-remainders buchberger_complete may add before it gives up
@@ -106,7 +107,8 @@ def check_basis(basis, order: str = DEFAULT_ORDER) -> BasisReport:
     j = e < h, and lcm(e, h) divides lcm(g, h) with i = e > g.
 
     The pairs share one ``packed_normal_form`` memo, so each monomial is
-    reduced once for all of them.
+    reduced once for all of them.  It is ``division.basis_memo``'s, so
+    the divides by this basis and order that follow in this thread use it.
     """
     packing, packed = pack_polys(basis, order)
     failing = _failing_pair(packing, packed)
@@ -117,7 +119,7 @@ def _failing_pair(packing: MonomialPacking, packed) -> tuple | None:
     active, pairs = [], []
     for h in range(len(packed)):
         _update(packing, packed, active, pairs, h)
-    memo = {}, []
+    memo = basis_memo(packing, packed)
     for _, i, j in pairs:
         r = packed_normal_form(_packed_s(packed[i], packed[j], packing), packed, packing, memo)
         if r:
