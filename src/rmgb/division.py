@@ -42,16 +42,16 @@ the call runs classically, which raises where it always did, or
 succeeds.
 
 Each thread keeps one slot, ``_last``: the packing and divisor list of
-its last ``divide`` or ``groebner.check_basis``, and their memo once
-there is one.  ``check_basis`` reduces all its S-pairs with the slot's
-memo (``basis_memo``) and leaves it there.  ``divide`` uses it when the
-slot holds its divisors: from the first call after such a check, else
-from the second in a row, so a one-off division runs the classical
-kernel alone.  A memo's values depend only on its packing and divisors,
-so which call filled it changes no result.  Completion and
-``reduce_basis`` change their divisor list at every step and stay
-classical.  A ``DivisionResult`` from the memo computes its quotients
-classically, when they are first read.
+its last ``divide`` or ``groebner.check_basis``, always with their memo,
+which its only writer, ``basis_memo``, starts empty for each new key.
+``check_basis`` reduces all its S-pairs with that memo.  ``divide`` uses
+it when the slot already held its divisors: from the first call after
+such a check, else from the second in a row, so a one-off division runs
+the classical kernel alone.  A memo's values depend only on its packing
+and divisors, so which call filled it changes no result.  Completion
+and ``reduce_basis`` change their divisor list at every step and stay
+classical.  ``divide``'s quotients are always computed, classically,
+when first read.
 """
 
 from __future__ import annotations
@@ -66,22 +66,21 @@ VALUES_LIMIT = 8 * MEMO_LIMIT  # values per normal-form memo: a check_basis at m
 
 
 class DivisionResult(Record):
-    """Quotients and remainder; ``divide``'s quotients are unpacked, or computed, when first read."""
+    """Quotients and remainder; ``divide``'s quotients are computed, classically, when first read."""
 
     _fields = ("quotients", "remainder")
 
     def __init__(self, quotients, remainder: Poly, packing: MonomialPacking | None = None):
-        # with a packing, ``quotients`` is (dividend, packed divisors, packed quotients or None)
+        # with a packing, ``quotients`` is (dividend, packed divisors)
         self._set("quotients" if packing is None else "_division", quotients)
         self._set("remainder", remainder)
         self._set("_packing", packing)
 
     @cached_property
     def quotients(self) -> tuple:  # read only when lazy: ``__init__`` sets given ones
-        (f, divisors, packed), packing = self._division, self._packing
-        if packed is None:  # the remainder came from the memo, which keeps no quotients
-            packed = [[] for _ in divisors]
-            packed_remainder(set(map(packing.pack, f.support)), divisors, packing, packed)
+        (f, divisors), packing = self._division, self._packing
+        packed = [[] for _ in divisors]
+        packed_remainder(set(map(packing.pack, f.support)), divisors, packing, packed)
         return tuple(map(packing.poly, packed))
 
     def reconstruct(self, divisors) -> Poly:
@@ -216,8 +215,8 @@ _last = _LastDivisors()
 
 
 def basis_memo(packing: MonomialPacking, packed) -> tuple:
-    """This thread's memo for ``packed`` divisors under ``packing``, put in its slot unless already there."""
-    if _last.key != (packing, packed) or _last.memo is None:
+    """This thread's memo for ``packed`` divisors under ``packing``: the slot's, or a fresh one put there."""
+    if _last.key != (packing, packed):
         _last.key, _last.memo = (packing, packed), ({}, [])
     return _last.memo
 
@@ -227,22 +226,17 @@ def divide(f: Poly, divisors, order: str = DEFAULT_ORDER) -> DivisionResult:
 
     When this thread's last call here or to ``groebner.check_basis`` had
     equal divisors in the same order and monomial order, the remainder
-    comes from ``packed_normal_form`` with that call's memo, and the
-    quotients are computed, classically, when first read.
+    comes from ``packed_normal_form`` with that call's memo.  The
+    quotients are always computed, classically, when first read.
     """
     packing, packed = pack_polys(divisors, order)
     if not isinstance(f, Poly) or f.m != packing.m:
         raise ValueError("f must be a Poly in the same variables as the divisors")
     work = set(map(packing.pack, f.support))
-    key = packing, packed
-    if _last.key == key:
-        memo = _last.memo = _last.memo or ({}, [])
-        quotients, rem = None, packed_normal_form(work, packed, packing, memo)
-    else:
-        _last.key, _last.memo = key, None
-        quotients = [[] for _ in packed]
-        rem = packed_remainder(work, packed, packing, quotients)
-    return DivisionResult((f, packed, quotients), packing.poly(rem), packing)
+    held = _last.memo  # basis_memo returns it again only when the slot holds these divisors
+    memo = basis_memo(packing, packed)
+    rem = packed_normal_form(work, packed, packing, memo) if memo is held else packed_remainder(work, packed, packing)
+    return DivisionResult((f, packed), packing.poly(rem), packing)
 
 
 def remainder(f: Poly, divisors, order: str = DEFAULT_ORDER) -> Poly:

@@ -7,9 +7,9 @@ pair that the polynomial remembers.  It reduces with
 ``division.packed_remainder`` and unpacks only the polynomials it
 returns.  Buchberger completion keeps its packed basis for the whole
 run.  ``check_basis`` reduces every pair by the same basis, so it uses
-``division.packed_normal_form`` with one memo for all of them, kept in
-``division``'s per-thread slot, where a following ``divide`` by the
-same basis and order finds it.  The divisors of completion and
+``division.packed_normal_form`` with one memo for all of them, which
+``division.basis_memo`` keeps in the thread's slot for a following
+``divide`` by the same basis and order.  The divisors of completion and
 ``reduce_basis`` change at each step, and they stay on the classical
 kernel.  Completion and ``check_basis`` share one pair rule,
 ``_update``: the Gebauer-Moeller criteria (J. Symbolic Comput. 6, 1988).
@@ -148,9 +148,15 @@ def _is_reduced(packing: MonomialPacking, packed) -> bool:
 
 def ideal_member(f: Poly, basis, order: str = DEFAULT_ORDER) -> bool:
     """Ideal membership test.  ``basis`` must be a Groebner basis."""
-    if not f:
-        return True
     return not remainder(f, list(basis), order)
+
+
+def _nonzero(polys) -> list:
+    """The distinct nonzero ``polys`` in input order; each is checked first, as ``pack_polys`` checks it."""
+    polys = list(polys)
+    for p in polys:
+        Poly._check_compatible(polys[0], p)
+    return list(dict.fromkeys(filter(None, polys)))
 
 
 def buchberger_complete(generators, order: str = DEFAULT_ORDER):
@@ -165,7 +171,7 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER):
     of least ``(lcm, i, j)`` is reduced first (the normal strategy,
     Buchberger 1985), against the active set only.
     """
-    basis = list(dict.fromkeys(g for g in generators if g))
+    basis = _nonzero(generators)
     packing, packed = pack_polys(basis, order)
     active, pairs = [], []
     for h in range(len(basis)):
@@ -196,7 +202,7 @@ def reduce_basis(basis, order: str = DEFAULT_ORDER):
     divides a monomial of an element, so this one pass leaves each kept
     element reduced.  Output is by descending leading monomial.
     """
-    packing, packed = pack_polys(dict.fromkeys(p for p in basis if p), order)
+    packing, packed = pack_polys(_nonzero(basis), order)
     packed.sort(key=lambda pair: pair[0])
     reduced = []
     for lead, tail in packed:

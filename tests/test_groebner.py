@@ -205,3 +205,25 @@ def test_entry_points_reject_empty_zero_and_mixed_lists(name):
     else:
         with pytest.raises(ValueError, match="^polynomial 2 of 2 is zero; expected nonzero polynomials$"):
             call([x1, zero])
+
+
+@pytest.mark.parametrize("name", ["buchberger_complete", "reduce_basis", "ideal_member"])
+def test_entry_points_check_every_element_before_dropping_zeros(name):
+    # None, 0 or a zero in other variables is refused, not dropped as a zero
+    x1 = parse_poly("x1 + 1", 2)
+    if name == "ideal_member":
+        for f in (None, 0, Poly(3)):
+            with pytest.raises(ValueError, match="^f must be a Poly in the same variables as the divisors$"):
+                ideal_member(f, [x1])
+        return
+    call = LIST_CALLS[name]
+    for polys in ([None, x1], [x1, None]):
+        with pytest.raises(TypeError, match="^expected Poly, got NoneType$"):
+            call(polys)
+    for polys in ([0, x1], [x1, 0]):
+        with pytest.raises(TypeError, match="^expected Poly, got int$"):
+            call(polys)
+    with pytest.raises(ValueError, match="^variable count mismatch: 2 vs 3$"):
+        call([x1, Poly(3)])
+    with pytest.raises(ValueError, match="^variable count mismatch: 3 vs 2$"):
+        call([Poly(3), x1])

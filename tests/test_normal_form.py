@@ -3,10 +3,11 @@
 ``division.packed_normal_form`` sums remembered remainders of single
 monomials, where ``division.packed_remainder`` reduces each dividend from
 scratch.  They must agree exactly: on ``check_basis`` reports, failing
-pair and remainder included, and on ``divide``'s remainders and quotients,
-which ``divide`` takes from the memo of its thread's slot when the slot
-holds its divisor list: from the second call by one list on, or from the
-first after a ``check_basis`` of that list, which leaves its memo there.
+pair and remainder included, and on ``divide``'s remainders and quotients.
+``divide`` takes its remainder from the memo of its thread's slot when the
+slot already holds its divisor list: from the second call by one list on,
+or from the first after a ``check_basis`` of that list, which leaves its
+memo there; it computes its quotients classically when they are first read.
 The memo falls back to the classical kernel when a product passes the
 exponent cap or when it fills up; both are pinned here.
 
@@ -37,6 +38,7 @@ from test_rank_oracle import ideal_generators, reduced_basis
 
 ORDERS = (LEX, GRLEX)
 DIVIDENDS = 8  # per basis, as the benchmark's groebner workload divides
+MEMO, CLASSICAL = (1, 0), (0, 1)  # kernel calls (memo, classical) of a divide by each kernel, with no fallback
 
 
 def _classical(work, divisors, packing, memo):
@@ -74,8 +76,8 @@ def compare_kernels(basis, dividends, order, reference=True, divides_first=False
     hands the divides its memo, or with ``divides_first`` last and takes theirs."""
     if not divides_first:
         compare_checks(basis, order, reference)
-    results = [outcome(divide, f, basis, order) for f in dividends]  # all by the memo the check left
-    for f, got in zip(dividends, results):
+    results = [kernel_calls(f, basis, order) for f in dividends]  # all by the memo the check left
+    for f, (got, _) in zip(dividends, results):
         want = outcome(classical_remainder, f, basis, order)
         assert (got if isinstance(got, str) else got.remainder) == want
         if reference:
@@ -83,14 +85,23 @@ def compare_kernels(basis, dividends, order, reference=True, divides_first=False
     if divides_first:
         compare_checks(basis, order, reference)
     else:
-        assert all(isinstance(got, str) or memo_served(got) for got in results)
+        assert all(isinstance(got, str) or memo_calls == 1 for got, (memo_calls, _) in results)
     packing, packed = pack_polys(basis, order)
     assert division._last.key == (packing, packed)
 
 
-def memo_served(result):
-    """True when ``divide`` took ``result`` from its memo: it then keeps no quotients until they are read."""
-    return result._division[2] is None
+def kernel_calls(f, divisors, order):
+    """The outcome of ``divide(f, divisors, order)`` and its calls to each kernel: (memo, classical).
+
+    A memo-served divide makes one memo call, and one classical call when
+    it falls back; a classical one makes one classical call alone.
+    """
+    with mock.patch.object(division, "packed_normal_form", wraps=packed_normal_form) as memo, \
+            mock.patch.object(division, "packed_remainder", wraps=packed_remainder) as classical:
+        got = outcome(divide, f, divisors, order)
+    calls = memo.call_count, classical.call_count
+    assert calls in (MEMO, (1, 1), CLASSICAL)
+    return got, calls
 
 
 @pytest.fixture
@@ -166,7 +177,7 @@ def handoff_bases(order):
 
 
 @pytest.mark.parametrize("order", ORDERS)
-def test_check_basis_hands_its_memo_to_divide(order, classical_calls):
+def test_check_basis_hands_its_memo_to_divide(order):
     # the first divide after check_basis is served by the memo the check
     # filled, with no classical call unless a product passes the cap, and its
     # remainder and lazily read quotients are the tuple toolkit's
@@ -178,13 +189,11 @@ def test_check_basis_hands_its_memo_to_divide(order, classical_calls):
         memo = division._last.memo
         assert division._last.key == (packing, packed) and memo is not None
         for f in dividends:
-            del classical_calls[:]
-            got = outcome(divide, f, basis, order)
-            calls = len(classical_calls)
+            got, calls = kernel_calls(f, basis, order)
             assert got == outcome(ref.divide, f, basis, order)
             if isinstance(got, str):
                 continue
-            assert memo_served(got) and division._last.memo is memo and not calls
+            assert calls == MEMO and division._last.memo is memo
             served += 1
     assert served >= 70  # of 80; the others pass the cap, in the memo and classically alike
 
@@ -193,7 +202,9 @@ def test_check_basis_hands_its_memo_to_divide(order, classical_calls):
 def test_check_basis_takes_the_memo_divide_left(order):
     # two divides leave a memo in the slot; check_basis by the same list
     # reduces its pairs with it, keeps it there, and reports as classically;
-    # after one divide the slot has no memo yet, and check_basis puts one there
+    # one divide leaves its key with an empty memo, which check_basis fills
+    # when it reduces a nonzero S-polynomial
+    filled = 0
     for basis, dividends in handoff_bases(order):
         for f in dividends[:2]:
             outcome(divide, f, basis, order)
@@ -202,12 +213,23 @@ def test_check_basis_takes_the_memo_divide_left(order):
         assert outcome(check_basis, basis, order) == outcome(classical_check, basis, order)
         assert division._last.memo is memo
         outcome(divide, dividends[2], basis + basis[:1], order)
-        outcome(divide, dividends[2], basis, order)
-        assert division._last.memo is None
-        outcome(check_basis, basis, order)
-        assert division._last.memo is not None
-        got = outcome(divide, dividends[0], basis, order)
-        assert isinstance(got, str) or memo_served(got)
+        assert kernel_calls(dividends[2], basis, order)[1] == CLASSICAL
+        packing, packed = pack_polys(basis, order)
+        memo = division._last.memo
+        assert division._last.key == (packing, packed) and memo == ({}, [])
+        sizes = []
+
+        def sized(work, *args):
+            sizes.append(len(work))
+            return packed_normal_form(work, *args)
+
+        with mock.patch("rmgb.groebner.packed_normal_form", sized):
+            outcome(check_basis, basis, order)
+        assert division._last.memo is memo and bool(memo[0]) == any(sizes)
+        filled += any(sizes)
+        got, (memo_calls, _) = kernel_calls(dividends[0], basis, order)
+        assert isinstance(got, str) or memo_calls == 1
+    assert filled >= 10  # of 25: 10 under lex and 16 under grlex; the others keep no pair or reduce only zeros
 
 
 def test_handoff_is_keyed_on_packing_and_divisors():
@@ -222,10 +244,32 @@ def test_handoff_is_keyed_on_packing_and_divisors():
                 continue  # a basis of one element is its own reverse
             check_basis(basis, GRLEX)
             check_basis(divisors, order)
-            got = divide(f, basis, GRLEX)
-            assert not memo_served(got) and got.remainder == classical_remainder(f, basis, GRLEX)
+            got, calls = kernel_calls(f, basis, GRLEX)
+            assert calls == CLASSICAL and got.remainder == classical_remainder(f, basis, GRLEX)
             check_basis(divisors, order)
-            assert memo_served(divide(f, divisors, order))
+            assert kernel_calls(f, divisors, order)[1][0] == 1
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_one_off_divide_computes_its_quotients_when_first_read(order, classical_calls):
+    # a divide by a list other than the slot's makes one classical call for
+    # its remainder, and a second for its quotients only when they are first
+    # read; a memo-served divide makes that one call alone
+    rng = random.Random(615)
+    for _, m, gens in seeded_ideals(615, 20):
+        basis = list(reduce_basis(buchberger_complete(gens, order), order))
+        for f in square_free_dividends(rng, m, 3):
+            for one_off in (True, False):
+                if one_off:
+                    divide(f, basis + basis[:1], order)
+                del classical_calls[:]
+                got = divide(f, basis, order)
+                assert got.remainder == classical_remainder(f, basis, order)
+                assert len(classical_calls) == one_off
+                quotients = got.quotients
+                assert len(classical_calls) == one_off + 1
+                assert got.quotients is quotients and len(classical_calls) == one_off + 1
+                assert got == ref.divide(f, basis, order) and got.reconstruct(basis) == f
 
 
 def test_check_basis_in_another_thread_leaves_this_threads_slot():
