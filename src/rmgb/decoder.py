@@ -248,10 +248,10 @@ def _leaf_tables() -> list:
         low.frombytes((int.from_bytes(low, "big") ^ int.from_bytes(column, "big")).to_bytes(len(column) * 2, "big"))
     tables = [low]
     for r in (2, 3):
-        table = array("I", [_NO_ERROR]) * (1 << sum(comb(5, j) for j in range(5 - r)))
-        for weight in range(((1 << (5 - r)) - 1) // 2 + 1):  # the radius-t ball
-            for error in map(sum, itertools.combinations([1 << b for b in range(32)], weight)):
-                table[_leaf_syndrome(error, r, low)] = error
+        params = CodeParams(5, 5 - r)
+        table = array("I", [_NO_ERROR]) * (1 << params.n - params.dim)
+        for error in subset_bits(params.n, range(params.t + 1)):  # the radius-t ball
+            table[_leaf_syndrome(error, r, low)] = error
         tables.append(table)
     _LEAF_TABLES[:] = tables
     return _LEAF_TABLES
@@ -355,7 +355,7 @@ def random_error(params: CodeParams, mode: str, seed, *, weight=None, flip_prob=
 
 def _check_error_mode(params: CodeParams, mode: str, weight, flip_prob) -> None:
     """Raise ValueError unless ``random_error`` can draw in this mode with these arguments."""
-    if mode == "fixed_weight" and not (isinstance(weight, int) and 0 <= weight <= params.n):
+    if mode == "fixed_weight" and not (type(weight) is int and 0 <= weight <= params.n):
         raise ValueError(f"fixed_weight mode needs a weight in 0..{params.n}")
     if mode == "bsc" and not (isinstance(flip_prob, (int, float)) and 0.0 <= flip_prob <= 1.0):
         raise ValueError("bsc mode needs a flip probability in [0, 1]")

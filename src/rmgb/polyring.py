@@ -125,7 +125,7 @@ class Poly(Record):
     _fields = ("m", "support")  # so equality, hashing and pickles leave out the remembered split
 
     def __init__(self, m: int, monomials: Iterable[Monomial] = ()):
-        if not (isinstance(m, int) and 1 <= m <= MAX_VARS):
+        if not (type(m) is int and 1 <= m <= MAX_VARS):
             raise ValueError(f"variable count must be in 1..{MAX_VARS}, got {m}")
         support: set = set()
         for mono in monomials:

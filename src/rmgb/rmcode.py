@@ -54,9 +54,9 @@ class CodeParams(Record):
     _fields = ("m", "l")
 
     def __init__(self, m: int, l: int):
-        if not (isinstance(m, int) and 1 <= m <= MAX_VARS):
+        if not (type(m) is int and 1 <= m <= MAX_VARS):
             raise ValueError(f"m must be in 1..{MAX_VARS}, got {m}")
-        if not (isinstance(l, int) and 0 <= l <= m):
+        if not (type(l) is int and 0 <= l <= m):
             raise ValueError(f"l must be in 0..m, got {l}")
         self._set("m", m)
         self._set("l", l)
@@ -84,7 +84,7 @@ class Word(Record):
     __slots__ = _fields = ("n", "value")
 
     def __init__(self, n: int, value: int):
-        if not (isinstance(n, int) and n >= 1):
+        if not (type(n) is int and n >= 1):
             raise ValueError(f"word length must be positive, got {n}")
         if not isinstance(value, int):
             raise ValueError(f"word value must be an int, got {type(value).__name__}")
@@ -129,10 +129,7 @@ def monomial_positions(m: int):
     2^m - 1 is all zeros; entry j is the monomial carried by word
     position j + 1.
     """
-    return tuple(
-        tuple((v >> (m - 1 - j)) & 1 for j in range(m))
-        for v in range((1 << m) - 1, -1, -1)
-    )
+    return tuple(itertools.product((1, 0), repeat=m))
 
 
 @lru_cache(maxsize=None)
@@ -235,8 +232,7 @@ def groebner_basis(params: CodeParams):
 
 def square_relations(m: int):
     """The quotient relations X_i^2 - 1, one per variable."""
-    if not (isinstance(m, int) and 1 <= m <= MAX_VARS):
-        raise ValueError(f"m must be in 1..{MAX_VARS}, got {m}")
+    CodeParams(m, 0)  # raises unless m is in 1..MAX_VARS
     out = []
     for i in range(1, m + 1):
         sq = tuple(2 if j == i - 1 else 0 for j in range(m))

@@ -1,4 +1,4 @@
-"""One-line mutants of the Groebner toolkit, each with the test that kills it.
+"""One-line mutants of rmgb's modules, each with the test that kills it.
 
 Each entry of ``MUTANTS`` is ``(name, file, old, new, test)``: ``old``
 is a text that occurs exactly once in ``src/rmgb``, in ``file``;
@@ -29,6 +29,8 @@ SRC = ROOT / "src" / "rmgb"
 
 NF = "tests/test_normal_form.py::"
 GB = "tests/test_groebner.py::"
+DEC = "tests/test_decoder.py::"
+RM = "tests/test_rmcode.py::"
 
 MUTANTS = [
     # packed_normal_form sums 0 for a monomial it cannot value, not the classical result
@@ -93,6 +95,79 @@ MUTANTS = [
     ("update-later-lcms-unseen", "groebner.py",
      "for other in new:", "for other in new[:k]:",
      "tests/test_packed_toolkit.py::test_pair_criteria_reduce_pinned_pair_counts[lex]"),
+    # Reed's vote ORs a variable's half in, so a second vote cannot take it out
+    ("vote-or-for-xor", "decoder.py",
+     "u ^= mask", "u |= mask",
+     DEC + "test_first_order_step_is_the_radius_t_decoder[3]"),
+    # the first-order step refuses a codeword at distance exactly t
+    ("vote-radius-strict", "decoder.py",
+     "return u if (y ^ u).bit_count() <= t else None", "return u if (y ^ u).bit_count() < t else None",
+     DEC + "test_first_order_step_is_the_radius_t_decoder[3]"),
+    # the vote never adds the all-ones word
+    ("vote-no-complement", "decoder.py",
+     "u ^= (1 << 2 * half) - 1", "pass",
+     DEC + "test_first_order_step_is_the_radius_t_decoder[3]"),
+    # the vote skips the lowest variable
+    ("vote-skips-a-variable", "decoder.py",
+     "_half_masks(k) if r else ()", "_half_masks(k)[1:] if r else ()",
+     DEC + "test_first_order_step_is_the_radius_t_decoder[3]"),
+    # a variable wins its vote with a quarter of the pairs, not a half
+    ("vote-threshold-quarter", "decoder.py",
+     "> half >> 1:", "> half >> 2:",
+     DEC + "test_first_order_step_is_the_radius_t_decoder[4]"),
+    # RM(2, 5)'s syndrome takes the halves' XOR where it takes the upper half, and back
+    ("leaf-halves-swapped", "decoder.py",
+     "return low[lo ^ hi] << 5 | low[hi] >> 6", "return low[hi] << 5 | low[lo ^ hi] >> 6",
+     DEC + "test_nearest_at_k5_matches_decode_search[2]"),
+    # RM(3, 5)'s syndrome loses the upper half's parity bit
+    ("leaf-parity-dropped", "decoder.py",
+     "return low[lo ^ hi] >> 6 << 1 | low[hi] >> 10", "return low[lo ^ hi] >> 6 << 1",
+     DEC + "test_nearest_at_k5_matches_decode_search[3]"),
+    # a k = 5 leaf returns the no-error sentinel as an error
+    ("leaf-sentinel-as-error", "decoder.py",
+     "return None if error == _NO_ERROR else y ^ error", "return y ^ error",
+     DEC + "test_nearest_at_k5_matches_decode_search[2]"),
+    # the error tables leave out the errors of weight t
+    ("leaf-ball-one-weight-short", "decoder.py",
+     "for error in subset_bits(params.n, range(params.t + 1)):",
+     "for error in subset_bits(params.n, range(params.t)):",
+     DEC + "test_leaf_error_table_holds_the_radius_t_ball[5-3]"),
+    # the error tables draw their errors from the m variables, not the n positions
+    ("leaf-ball-over-variables", "decoder.py",
+     "for error in subset_bits(params.n,", "for error in subset_bits(params.m,",
+     DEC + "test_leaf_error_table_holds_the_radius_t_ball[5-3]"),
+    # a bool passes as a weight
+    ("weight-takes-bool", "decoder.py",
+     "type(weight) is int", "isinstance(weight, int)",
+     DEC + "test_non_integer_counts_are_rejected"),
+    # square-free positions in ascending lex order
+    ("positions-ascending", "rmcode.py",
+     "itertools.product((1, 0), repeat=m)", "itertools.product((0, 1), repeat=m)",
+     RM + "test_monomial_positions_descending_lex"),
+    # subset_bit puts X1 at the low bit
+    ("subset-bit-x1-low", "rmcode.py",
+     "b |= 1 << (m - i)", "b |= 1 << (i - 1)",
+     RM + "test_subset_monomial_roundtrip"),
+    # subset_bits lists the subsets of one size in ascending bit order
+    ("subset-bits-ascending", "rmcode.py",
+     "itertools.combinations(variable_bits, k)", "itertools.combinations(variable_bits[::-1], k)",
+     "tests/test_kernel.py::test_subset_bits_follow_combinations_order"),
+    # g_I sums the X_L over the supermasks of I, not its subsets
+    ("generator-over-supermasks", "rmcode.py",
+     "superset_xor(1 << b, m)))", "subset_xor(1 << b, m)))",
+     RM + "test_product_generator_expansion"),
+    # rank keeps every nonzero row as a pivot
+    ("rank-keeps-every-row", "rmcode.py",
+     "pivots[top] = row", "pivots[top, row] = row",
+     RM + "test_gf2_helpers"),
+    # square_relations checks no m
+    ("square-relations-unchecked", "rmcode.py",
+     "CodeParams(m, 0)  # raises unless", "pass  # raises unless",
+     RM + "test_square_relations"),
+    # a bool passes as a word length
+    ("word-length-takes-bool", "rmcode.py",
+     "type(n) is int", "isinstance(n, int)",
+     DEC + "test_non_integer_counts_are_rejected"),
 ]
 
 

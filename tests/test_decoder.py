@@ -529,6 +529,18 @@ def test_non_integer_counts_are_rejected():
     for make in (lambda: parse_poly("x1", 2.0), lambda: Poly(2.0, [(1, 0)])):
         with pytest.raises(ValueError, match=r"^variable count must be in 1\.\.16, got 2\.0$"):
             make()
+    # a bool passed as the int it equals: Word(True, 1) failed only when printed,
+    # and a weight of True drew one bit
+    for make, message in [
+        (lambda: random_error(P32, "fixed_weight", 1, weight=True), r"fixed_weight mode needs a weight in 0\.\.8"),
+        (lambda: CodeParams(True, 1), r"m must be in 1\.\.16, got True"),
+        (lambda: CodeParams(3, True), r"l must be in 0\.\.m, got True"),
+        (lambda: Word(True, 1), r"word length must be positive, got True"),
+        (lambda: parse_poly("x1", True), r"variable count must be in 1\.\.16, got True"),
+        (lambda: Poly(True, [(1,)]), r"variable count must be in 1\.\.16, got True"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
 
 def test_random_error_bad_args():

@@ -107,11 +107,16 @@ def test_monomial_positions_m3():
 
 
 def test_monomial_positions_descending_lex():
-    for m in range(1, 6):
+    for m in range(1, 17):
         pos = monomial_positions(m)
         assert len(pos) == 1 << m
         assert pos[0] == (1,) * m and pos[-1] == (0,) * m
         assert all(pos[i] > pos[i + 1] for i in range(len(pos) - 1))
+        # entry j is the m binary digits, X1 first, of 2^m - 1 - j
+        assert pos == tuple(
+            tuple((v >> (m - 1 - j)) & 1 for j in range(m))
+            for v in range((1 << m) - 1, -1, -1)
+        ), m
 
 
 def test_subset_monomial_roundtrip():
@@ -165,7 +170,7 @@ def test_groebner_basis_listing_order():
 def test_square_relations():
     assert [str(h) for h in square_relations(1)] == ["x1^2 + 1"]
     assert [str(h) for h in square_relations(3)] == ["x1^2 + 1", "x2^2 + 1", "x3^2 + 1"]
-    for m in (0, -1, 17, 2.0):
+    for m in (0, -1, 17, 2.0, True):
         with pytest.raises(ValueError, match=f"^m must be in 1..16, got {m}$"):
             square_relations(m)
 
