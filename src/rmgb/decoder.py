@@ -59,7 +59,10 @@ a table indexed by the syndrome, the paper's remainder in the y basis
 (its coefficients of degree < l): that of the halves' XOR in
 RM(r - 1, 4) beside that of the upper half in RM(r, 4).  Errors of
 weight at most t have distinct syndromes, as 2t < 2^l, so the tables are
-exact; the first decode to reach a leaf builds them.
+exact; the first decode to reach a leaf builds them.  RM(3, 6) does its
+split in one frame off the same tables: the 16-bit quarters give the
+k = 5 syndromes of the halves' XOR and of each half, and the copy hi + v
+has hi's, as v is in RM(2, 5), inside RM(3, 5).
 
 Both decoders only find the error bits, or None, and one rule reads the
 result off them.  No error, or one heavier than t, is a failure; a zero
@@ -182,9 +185,10 @@ def _nearest(y: int, k: int, r: int) -> int | None:
     """The codeword of RM(r, k) within t = (2^(k-r) - 1) // 2 of the 2^k-bit y, or None.
 
     RM(r, k) is M^(k-r) in k variables, and this is the (u | u + v)
-    recursion of the module docstring, with its three kinds of leaf.  It
-    is bounded-distance decoding: a word farther than t from every
-    codeword gives None, even where a nearest codeword exists.
+    recursion of the module docstring, with its three kinds of leaf and its
+    RM(3, 6) split in one frame (hi ^ v has hi's syndrome).  It is
+    bounded-distance decoding: a word farther than t from every codeword
+    gives None, even where a nearest codeword exists.
     """
     if k == 5 and 1 < r < 4:  # RM(2, 5) and RM(3, 5)
         tables = _LEAF_TABLES or _leaf_tables()
@@ -215,6 +219,15 @@ def _nearest(y: int, k: int, r: int) -> int | None:
         if weight & 1:
             return y ^ 1 << flip
         return None if flip else y
+    if k == 6 and r == 3:  # the split below in one frame, off the k = 5 tables: e_lo ^ e_hi is v's error
+        low, table2, table3 = _LEAF_TABLES or _leaf_tables()
+        c0, c1, c2, c3 = y & 0xFFFF, y >> 16 & 0xFFFF, y >> 32 & 0xFFFF, y >> 48
+        e_v = table2[low[c0 ^ c1 ^ c2 ^ c3] << 5 | low[c1 ^ c3] >> 6]
+        for e_lo in (table3[low[c0 ^ c1] >> 6 << 1 | low[c1] >> 10],  # lo's error, then hi ^ v's plus e_v
+                     e_v ^ table3[low[c2 ^ c3] >> 6 << 1 | low[c3] >> 10]):
+            if e_lo.bit_count() + (e_lo ^ e_v).bit_count() <= t:
+                return y ^ ((e_lo ^ e_v) << half | e_lo)
+        return None
     lo, hi = y & ((1 << half) - 1), y >> half
     v = _nearest(lo ^ hi, k - 1, r - 1)
     if v is None:
@@ -357,7 +370,7 @@ def _check_error_mode(params: CodeParams, mode: str, weight, flip_prob) -> None:
     """Raise ValueError unless ``random_error`` can draw in this mode with these arguments."""
     if mode == "fixed_weight" and not (type(weight) is int and 0 <= weight <= params.n):
         raise ValueError(f"fixed_weight mode needs a weight in 0..{params.n}")
-    if mode == "bsc" and not (isinstance(flip_prob, (int, float)) and 0.0 <= flip_prob <= 1.0):
+    if mode == "bsc" and not (type(flip_prob) in (int, float) and 0.0 <= flip_prob <= 1.0):
         raise ValueError("bsc mode needs a flip probability in [0, 1]")
     if mode not in ("fixed_weight", "bsc"):
         raise ValueError(f"unknown error mode {mode!r}, expected fixed_weight or bsc")

@@ -86,7 +86,7 @@ class Word(Record):
     def __init__(self, n: int, value: int):
         if not (type(n) is int and n >= 1):
             raise ValueError(f"word length must be positive, got {n}")
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise ValueError(f"word value must be an int, got {type(value).__name__}")
         if not (value >= 0 and value.bit_length() <= n):
             raise ValueError(f"value out of range for {n}-bit word")

@@ -140,6 +140,30 @@ MUTANTS = [
     ("weight-takes-bool", "decoder.py",
      "type(weight) is int", "isinstance(weight, int)",
      DEC + "test_non_integer_counts_are_rejected"),
+    # a bool passes as a flip probability
+    ("flip-prob-takes-bool", "decoder.py",
+     "type(flip_prob) in (int, float)", "isinstance(flip_prob, (int, float))",
+     DEC + "test_non_integer_counts_are_rejected"),
+    # RM(3, 6) goes through the generic split: the same results, in 2-4 calls
+    ("rm36-node-never-taken", "decoder.py",
+     "if k == 6 and r == 3:", "if False:",
+     DEC + "test_rm36_decode_is_one_call"),
+    # the RM(3, 6) node refuses a codeword at distance exactly t
+    ("rm36-radius-strict", "decoder.py",
+     "(e_lo ^ e_v).bit_count() <= t:", "(e_lo ^ e_v).bit_count() < t:",
+     DEC + "test_rm36_node_matches_the_split"),
+    # the RM(3, 6) node never tries its second u-copy, hi ^ v
+    ("rm36-second-copy-dropped", "decoder.py",
+     "e_v ^ table3[low[c2 ^ c3] >> 6 << 1 | low[c3] >> 10]", "_NO_ERROR",
+     DEC + "test_rm36_node_matches_the_split"),
+    # v's syndrome reads the lower quarters' XOR where it reads the upper ones'
+    ("rm36-quarter-swapped", "decoder.py",
+     "low[c1 ^ c3] >> 6", "low[c0 ^ c2] >> 6",
+     DEC + "test_rm36_node_matches_the_split"),
+    # the RM(3, 6) node puts the lower half's error in the upper half, and back
+    ("rm36-halves-swapped", "decoder.py",
+     "y ^ ((e_lo ^ e_v) << half | e_lo)", "y ^ (e_lo << half | e_lo ^ e_v)",
+     DEC + "test_rm36_node_matches_the_split"),
     # square-free positions in ascending lex order
     ("positions-ascending", "rmcode.py",
      "itertools.product((1, 0), repeat=m)", "itertools.product((0, 1), repeat=m)",
@@ -167,6 +191,10 @@ MUTANTS = [
     # a bool passes as a word length
     ("word-length-takes-bool", "rmcode.py",
      "type(n) is int", "isinstance(n, int)",
+     DEC + "test_non_integer_counts_are_rejected"),
+    # a bool passes as a word value
+    ("word-value-takes-bool", "rmcode.py",
+     "type(value) is not int", "not isinstance(value, int)",
      DEC + "test_non_integer_counts_are_rejected"),
 ]
 

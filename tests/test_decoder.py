@@ -341,17 +341,17 @@ def test_first_order_step_is_the_radius_t_decoder(k):
 def call_bound(k: int, r: int) -> int:
     """The most ``_nearest`` calls that a 2^k-bit word can cost in RM(r, k).
 
-    One at a leaf (r <= 1, r >= k - 2, or the RM(2, 5) table), and at a
-    split 1 + T(k - 1, r - 1) + 2 T(k - 1, r): the v-decode and both u-copies.
+    One at a leaf (r <= 1, r >= k - 2, the RM(2, 5) table or the RM(3, 6)
+    node), and at a split 1 + T(k - 1, r - 1) + 2 T(k - 1, r): the v-decode
+    and both u-copies.
     """
-    if r <= 1 or r >= k - 2 or (k, r) == (5, 2):
+    if r <= 1 or r >= k - 2 or (k, r) in ((5, 2), (6, 3)):
         return 1
     return 1 + call_bound(k - 1, r - 1) + 2 * call_bound(k - 1, r)
 
 
-def test_nearest_calls_stay_within_the_worst_case_bound(monkeypatch):
-    # a wrapper on the module global counts the recursion's calls too
-    assert [call_bound(12, 4), call_bound(16, 4)] == [2206, 87550]
+def count_nearest_calls(monkeypatch) -> list:
+    """The (k, r) of every ``_nearest`` call from here on, the recursion's too, through the module global."""
     calls, inner = [], decoder._nearest
 
     def counted(y, k, r):
@@ -359,6 +359,48 @@ def test_nearest_calls_stay_within_the_worst_case_bound(monkeypatch):
         return inner(y, k, r)
 
     monkeypatch.setattr(decoder, "_nearest", counted)
+    return calls
+
+
+def rm36_words(rng, count: int) -> list:
+    """``count`` 64-bit words: half uniform, then RM(3, 6) codewords plus 0..6 flips in turn."""
+    params = CodeParams(6, 3)
+    words = [rng.getrandbits(64) for _ in range(count // 2)]
+    for i in range(count - len(words)):
+        c = encode_bits(random_message_bits(params, rng), params).value
+        words.append(c ^ random_error(params, "fixed_weight", rng, weight=i % 7).value)
+    return words
+
+
+def test_rm36_node_matches_the_split():
+    # the (6, 3) branch against the (u | u + v) split it replaces, composed
+    # from the k = 5 leaves as the generic split composes them
+    def split(y):
+        lo, hi = y & 0xFFFFFFFF, y >> 32
+        v = _nearest(lo ^ hi, 5, 2)
+        if v is None:
+            return None
+        for copy in (lo, hi ^ v):
+            u = _nearest(copy, 5, 3)
+            if u is not None and (lo ^ u).bit_count() + (hi ^ v ^ u).bit_count() <= 3:
+                return u | (u ^ v) << 32
+        return None
+
+    for y in rm36_words(random.Random("rm36 split"), 20000):
+        assert _nearest(y, 6, 3) == split(y), y
+
+
+def test_rm36_decode_is_one_call(monkeypatch):
+    calls = count_nearest_calls(monkeypatch)
+    for y in rm36_words(random.Random("rm36 calls"), 2000):
+        calls.clear()
+        decode(Word(64, y), CodeParams(6, 3))
+        assert calls == [(6, 3)], y
+
+
+def test_nearest_calls_stay_within_the_worst_case_bound(monkeypatch):
+    assert [call_bound(12, 4), call_bound(16, 4)] == [1630, 72190]
+    calls = count_nearest_calls(monkeypatch)
     for m, l in ((12, 8), (16, 12)):
         params, rng = CodeParams(m, l), random.Random(f"call bound {m} {l}")
         for _ in range(4):
@@ -373,8 +415,8 @@ def test_nearest_calls_stay_within_the_worst_case_bound(monkeypatch):
 
 def test_leaf_tables_are_built_on_first_use():
     # a fresh process: importing rmgb and decoding a word within t of zero at
-    # (6, 3) returns before the recursion, so it builds no table and loads no
-    # array module; a word that recurses builds them once
+    # (6, 3) returns before the RM(3, 6) node, so it builds no table and loads
+    # no array module; a word that reaches the node builds them once
     script = ("import random, sys, rmgb; from rmgb import decoder; "
               "p = rmgb.CodeParams(6, 3); "
               "r = rmgb.decode(rmgb.random_error(p, 'fixed_weight', 1, weight=3), p); "
@@ -530,9 +572,12 @@ def test_non_integer_counts_are_rejected():
         with pytest.raises(ValueError, match=r"^variable count must be in 1\.\.16, got 2\.0$"):
             make()
     # a bool passed as the int it equals: Word(True, 1) failed only when printed,
-    # and a weight of True drew one bit
+    # a weight of True drew one bit, Word(3, True) built 001 and a flip
+    # probability of True drew the all-ones word
     for make, message in [
         (lambda: random_error(P32, "fixed_weight", 1, weight=True), r"fixed_weight mode needs a weight in 0\.\.8"),
+        (lambda: random_error(P32, "bsc", 1, flip_prob=True), r"bsc mode needs a flip probability in \[0, 1\]"),
+        (lambda: Word(3, True), r"word value must be an int, got bool"),
         (lambda: CodeParams(True, 1), r"m must be in 1\.\.16, got True"),
         (lambda: CodeParams(3, True), r"l must be in 0\.\.m, got True"),
         (lambda: Word(True, 1), r"word length must be positive, got True"),
