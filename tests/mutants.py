@@ -31,6 +31,8 @@ NF = "tests/test_normal_form.py::"
 GB = "tests/test_groebner.py::"
 DEC = "tests/test_decoder.py::"
 RM = "tests/test_rmcode.py::"
+KER = "tests/test_kernel.py::"
+REC = "tests/test_records.py::"
 
 MUTANTS = [
     # packed_normal_form sums 0 for a monomial it cannot value, not the classical result
@@ -91,10 +93,26 @@ MUTANTS = [
     ("zeros-dropped-before-check", "groebner.py",
      "    polys = list(polys)\n    for p in polys:", "    polys = [p for p in polys if p]\n    for p in polys:",
      GB + "test_entry_points_check_every_element_before_dropping_zeros[buchberger_complete]"),
+    # reduce_basis keeps an element whose lead a kept lead divides
+    ("reduce-basis-keeps-redundant", "groebner.py",
+     "if not (lead - other) & packing.guard:\n                break", "if not (lead - other) & packing.guard:\n                pass",
+     GB + "test_reduce_basis_drops_redundant_generator"),
     # the Gebauer-Moeller test of a new pair sees only the earlier lcms, not the later ones
     ("update-later-lcms-unseen", "groebner.py",
      "for other in new:", "for other in new[:k]:",
      "tests/test_packed_toolkit.py::test_pair_criteria_reduce_pinned_pair_counts[lex]"),
+    # records are equal when their classes name the same fields, whatever the values
+    ("record-eq-by-field-names", "polyring.py",
+     "return self._values(self) == self._values(other)", "return self._fields == other._fields",
+     REC + "test_equal_values_hash_equal_and_other_classes_differ"),
+    # a record hashes as its field names: equal records still hash equal
+    ("record-hash-by-field-names", "polyring.py",
+     "return hash(self._values(self))", "return hash(self._fields)",
+     REC + "test_code_params_hash_as_their_field_tuple"),
+    # a record with a __dict__ pickles through _values too, losing what _fields leaves out
+    ("record-dict-by-values", "polyring.py",
+     'if hasattr(self, "__dict__"):', "if False:",
+     REC + "test_copied_decode_result_builds_its_lazy_fields_on_first_read"),
     # Reed's vote ORs a variable's half in, so a second vote cannot take it out
     ("vote-or-for-xor", "decoder.py",
      "u ^= mask", "u |= mask",
@@ -196,6 +214,29 @@ MUTANTS = [
     ("word-value-takes-bool", "rmcode.py",
      "type(value) is not int", "not isinstance(value, int)",
      DEC + "test_non_integer_counts_are_rejected"),
+    # a bool or a float passes as message bits
+    ("message-bits-any-type", "rmcode.py",
+     "type(bits) is not int or bits < 0", "bits < 0",
+     DEC + "test_non_integer_counts_are_rejected"),
+    # a dense support with a monomial that is not square-free converts, one digit too long
+    ("dense-length-unchecked", "rmcode.py",
+     "if len(digits) == n:", "if True:",
+     KER + "test_bad_messages_rejected_with_the_same_text[8-2]"),
+    # a dense support writes its terms as 0 digits
+    ("dense-terms-as-zeros", "rmcode.py",
+     'dict.fromkeys(f.support, "1")', 'dict.fromkeys(f.support, "0")',
+     RM + "test_word_poly_roundtrip_random"),
+    # the dense template holds 1 digits
+    ("dense-template-of-ones", "rmcode.py",
+     'dict.fromkeys(monomial_positions(m), "0")', 'dict.fromkeys(monomial_positions(m), "1")',
+     RM + "test_word_poly_roundtrip_random"),
+    # the template merged into the support: its 0 digits win, in the support's order
+    ("dense-merge-reversed", "rmcode.py",
+     '_zero_digits(f.m) | dict.fromkeys(f.support, "1")', 'dict.fromkeys(f.support, "1") | _zero_digits(f.m)',
+     RM + "test_word_poly_roundtrip_random"),
+    # Left out as equivalent: poly_to_word's size rule never taken, always taken,
+    # or with >= for >.  Either path gives every support the same word or the same
+    # error, so these change only its speed.
 ]
 
 

@@ -583,6 +583,9 @@ def test_non_integer_counts_are_rejected():
         (lambda: Word(True, 1), r"word length must be positive, got True"),
         (lambda: parse_poly("x1", True), r"variable count must be in 1\.\.16, got True"),
         (lambda: Poly(True, [(1,)]), r"variable count must be in 1\.\.16, got True"),
+        # message bits of True encoded the constant 1, and 1.5 raised AttributeError
+        (lambda: encode_bits(True, P32), r"message bits out of range for 8-bit words"),
+        (lambda: encode_bits(1.5, P32), r"message bits out of range for 8-bit words"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()

@@ -211,14 +211,17 @@ def raises_exactly(text):
     return pytest.raises(ValueError, match=f"^{re.escape(text)}$")
 
 
-@pytest.mark.parametrize("m,l", [(2, 2), (2, 1), (16, 2), (16, 8)])
+@pytest.mark.parametrize("m,l", [(2, 2), (2, 1), (8, 2), (16, 2), (16, 8)])
 def test_bad_messages_rejected_with_the_same_text(m, l):
     params = CodeParams(m, l)
     squared = Poly(m, [(2,) + (0,) * (m - 1), (0,) * m])  # x1^2 + 1
-    with raises_exactly("only square-free polynomials correspond to words"):
-        poly_to_word(squared)
-    with raises_exactly("only square-free polynomials correspond to words"):
-        encode(squared, params)
+    # x1^2 plus up to n/4 + 33 square-free terms: from m = 8, dense enough for poly_to_word's merge
+    dense = Poly(m, [(2,) + (0,) * (m - 1), *monomial_positions(m)[: params.n // 4 + 33]])
+    for bad in (squared, dense):
+        with raises_exactly("only square-free polynomials correspond to words"):
+            poly_to_word(bad)
+        with raises_exactly("only square-free polynomials correspond to words"):
+            encode(bad, params)
     top = Poly(m, [(1,) * (params.nu + 1) + (0,) * (l - 1), (0,) * m])  # degree nu + 1
     text = f"message degree {params.nu + 1} exceeds code order {params.nu}"
     with raises_exactly(text):

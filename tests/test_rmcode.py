@@ -211,12 +211,28 @@ def test_word_to_poly_matches_string_scan():
             assert word_to_poly(w) == word_to_poly_by_scan(w), (m, str(w))
 
 
+def poly_to_word_by_scan(f):
+    """Reference: one digit per word position, read off the support; the inverse of ``word_to_poly_by_scan``."""
+    return Word.from_string("".join("1" if mono in f.support else "0" for mono in monomial_positions(f.m)))
+
+
 def test_word_poly_roundtrip_random():
+    # both sides of poly_to_word's size rule: a support of more than n/4 + 32 terms is merged
     rng = random.Random(21)
-    for m in range(1, 5):
+    for m in [*range(1, 13), 16]:
         n = 1 << m
-        for _ in range(50):
-            w = Word(n, rng.getrandbits(n))
+        words = [Word(n, 0), Word(n, (1 << n) - 1)]
+        words += [Word(n, rng.getrandbits(n)) for _ in range(50 if m < 16 else 3)]
+        words += [Word(n, sum(1 << b for b in rng.sample(range(n), min(n, 3)))) for _ in range(10)]
+        polys = [word_to_poly(w) for w in words]
+        for size in (n // 4 + 32, n // 4 + 33):
+            if size <= n:
+                polys += [Poly(m, rng.sample(monomial_positions(m), size)) for _ in range(5)]
+        for f in polys:
+            w = poly_to_word(f)
+            assert w == poly_to_word_by_scan(f), (m, len(f))
+            assert word_to_poly(w) == f
+        for w in words:
             assert poly_to_word(word_to_poly(w)) == w
     with pytest.raises(ValueError):
         word_to_poly(Word(5, 0))
