@@ -44,14 +44,18 @@ succeeds.
 Each thread keeps one slot, ``_last``: the packing and divisor list of
 its last ``divide`` or ``groebner.check_basis``, always with their memo,
 which its only writer, ``basis_memo``, starts empty for each new key.
-``check_basis`` reduces all its S-pairs with that memo.  ``divide`` uses
-it when the slot already held its divisors: from the first call after
-such a check, else from the second in a row, so a one-off division runs
-the classical kernel alone.  A memo's values depend only on its packing
-and divisors, so which call filled it changes no result.  Completion
-and ``reduce_basis`` change their divisor list at every step and stay
-classical.  ``divide``'s quotients are always computed, classically,
-when first read.
+``check_basis`` sums all its S-remainders off that memo with
+``memo_remainder``, which takes the products of both elements of a pair,
+so the S-polynomial is not formed.  ``divide`` uses the memo when the
+slot already held its divisors: from the first call after such a check,
+else from the second in a row, so a one-off division runs the classical
+kernel alone.  A memo's values depend only on its packing and divisors,
+so which call filled it changes no result.  When ``divide`` gets the
+very tuple that it packed into the slot, under the same order, it takes
+the slot's packing without packing the tuple again: a tuple of Polys
+cannot change.  Completion and ``reduce_basis`` stay classical (see
+``groebner``).  ``divide``'s quotients are always computed,
+classically, when first read.
 """
 
 from __future__ import annotations
@@ -146,14 +150,24 @@ def packed_normal_form(work: set, divisors, packing: MonomialPacking, memo) -> l
     that meets a product past the exponent cap, runs ``packed_remainder``
     instead and uses ``work`` up.
     """
+    rem = memo_remainder(work, divisors, packing, memo)
+    return packed_remainder(work, divisors, packing) if rem is None else rem
+
+
+def memo_remainder(monos, divisors, packing: MonomialPacking, memo) -> list | None:
+    """The remainder of the sum of ``monos``, from ``memo``; None when a monomial cannot be valued.
+
+    ``monos`` may repeat a monomial, which then cancels.  A monomial the
+    memo lacks is valued by ``_normal_value``, unless ``values`` is full.
+    """
     values, standard = memo
     acc = 0
-    for x in work:
+    for x in monos:
         v = values.get(x)
         if v is None:
             v = None if len(values) >= VALUES_LIMIT else _normal_value(x, divisors, packing, memo)
             if v is None:
-                return packed_remainder(work, divisors, packing)
+                return None
         acc ^= v
     rem = []
     while acc:
@@ -209,6 +223,7 @@ def _normal_value(x: int, divisors, packing: MonomialPacking, memo) -> int | Non
 
 class _LastDivisors(threading.local):
     key = memo = None  # (packing, packed divisors) of this thread's last divide or check_basis, and their memo
+    source = None  # (tuple, order) that a divide packed into ``key``, if the divisors came as a tuple
 
 
 _last = _LastDivisors()
@@ -217,7 +232,7 @@ _last = _LastDivisors()
 def basis_memo(packing: MonomialPacking, packed) -> tuple:
     """This thread's memo for ``packed`` divisors under ``packing``: the slot's, or a fresh one put there."""
     if _last.key != (packing, packed):
-        _last.key, _last.memo = (packing, packed), ({}, [])
+        _last.key, _last.memo, _last.source = (packing, packed), ({}, []), None
     return _last.memo
 
 
@@ -226,15 +241,23 @@ def divide(f: Poly, divisors, order: str = DEFAULT_ORDER) -> DivisionResult:
 
     When this thread's last call here or to ``groebner.check_basis`` had
     equal divisors in the same order and monomial order, the remainder
-    comes from ``packed_normal_form`` with that call's memo.  The
-    quotients are always computed, classically, when first read.
+    comes from ``packed_normal_form`` with that call's memo.  A tuple that
+    the last divide here packed, under the same order, is not packed
+    again.  The quotients are always computed, classically, when first
+    read.
     """
-    packing, packed = pack_polys(divisors, order)
+    held = _last.memo  # basis_memo returns it again only when the slot holds these divisors
+    source = _last.source
+    if source is not None and source[0] is divisors and source[1] == order:
+        (packing, packed), memo = _last.key, held  # a tuple's Polys pack as they did
+    else:
+        packing, packed = pack_polys(divisors, order)
+        memo = basis_memo(packing, packed)
+        if divisors.__class__ is tuple:
+            _last.source = divisors, order
     if not isinstance(f, Poly) or f.m != packing.m:
         raise ValueError("f must be a Poly in the same variables as the divisors")
     work = set(map(packing.pack, f.support))
-    held = _last.memo  # basis_memo returns it again only when the slot holds these divisors
-    memo = basis_memo(packing, packed)
     rem = packed_normal_form(work, packed, packing, memo) if memo is held else packed_remainder(work, packed, packing)
     return DivisionResult((f, packed), packing.poly(rem), packing)
 

@@ -69,8 +69,26 @@ MUTANTS = [
      NF + "test_memo_matches_classical_kernel_on_seeded_ideals[lex]"),
     # basis_memo stores its key without the packing, so no call finds the slot's memo
     ("key-without-packing", "division.py",
-     "_last.key, _last.memo = (packing, packed), ({}, [])", "_last.key, _last.memo = (None, packed), ({}, [])",
+     "_last.key, _last.memo, _last.source = (packing, packed), ({}, []), None",
+     "_last.key, _last.memo, _last.source = (None, packed), ({}, []), None",
      NF + "test_memo_matches_classical_kernel_on_seeded_ideals[lex]"),
+    # a new key keeps the tuple a divide packed before, so that tuple's next divide reads another list's packing
+    ("source-kept-on-new-key", "division.py",
+     "_last.key, _last.memo, _last.source = (packing, packed), ({}, []), None",
+     "_last.key, _last.memo = (packing, packed), ({}, [])",
+     NF + "test_divide_after_a_check_basis_by_other_divisors"),
+    # divide reuses the slot's packing for its tuple under either monomial order
+    ("reuse-ignores-order", "division.py",
+     "source[0] is divisors and source[1] == order", "source[0] is divisors",
+     NF + "test_divide_repacks_the_same_tuple_under_another_order[grlex-lex]"),
+    # divide reuses the slot's packing for a list too, which may have changed since
+    ("reuse-takes-lists", "division.py",
+     "if divisors.__class__ is tuple:", "if True:",
+     NF + "test_divide_repacks_the_same_tuple_under_another_order[grlex-lex]"),
+    # the walk tests the guard bit alone, so it values products with exponents 5 to 7
+    ("walk-cap-as-guard", "division.py",
+     "if (y + room) & guard:  # a product past the cap", "if y & guard:  # a product past the cap",
+     NF + "test_s_remainder_matches_the_formed_s_polynomial[lex]"),
     # basis_memo writes the slot but never reads it: a fresh memo on every call
     ("slot-never-read", "division.py",
      "if _last.key != (packing, packed):", "if True:",
@@ -81,10 +99,30 @@ MUTANTS = [
      NF + "test_one_off_divide_computes_its_quotients_when_first_read[lex]"),
     # check_basis leaves its memo under the other monomial order's packing
     ("memo-under-other-order", "groebner.py",
-     "memo = basis_memo(packing, packed)\n    for _, i, j in pairs:",
+     "memo = basis_memo(packing, packed)\n    for pair in pairs:",
      'memo = basis_memo(MonomialPacking(packing.m, "lex" if packing.grlex else "grlex"), packed)\n'
-     "    for _, i, j in pairs:",
+     "    for pair in pairs:",
      NF + "test_check_basis_hands_its_memo_to_divide[lex]"),
+    # an S-remainder sums only the first element's products
+    ("s-remainder-j-side-dropped", "groebner.py",
+     "[qa + t for t in a_tail] + [qb + t for t in b_tail]", "[qa + t for t in a_tail]",
+     NF + "test_s_remainder_matches_the_formed_s_polynomial[lex]"),
+    # a pair whose products the memo cannot sum counts as reducing to zero
+    ("s-remainder-fallback-dropped", "groebner.py",
+     "if r is None:", "if False:",
+     NF + "test_s_remainder_matches_the_formed_s_polynomial[lex]"),
+    # reducedness misses a tail monomial equal to another element's lead
+    ("reduced-tail-on-a-lead", "groebner.py",
+     "if other == mono and mono != lead:", "if False:",
+     GB + "test_is_reduced_negative"),
+    # reducedness misses two elements with one lead
+    ("reduced-shared-lead", "groebner.py",
+     "return len(set(leads)) == len(leads)", "return True",
+     GB + "test_is_reduced_negative"),
+    # reducedness scans the leads unsorted, so it stops before a smaller lead that divides
+    ("reduced-leads-unsorted", "groebner.py",
+     "leads = sorted(lead for lead, _ in packed)", "leads = [lead for lead, _ in packed]",
+     GB + "test_is_reduced_negative"),
     # ideal_member calls a zero, None or 0 a member without checking it
     ("ideal-member-shortcut", "groebner.py",
      "return not remainder(f, list(basis), order)", "return not f or not remainder(f, list(basis), order)",
@@ -234,6 +272,22 @@ MUTANTS = [
     ("dense-merge-reversed", "rmcode.py",
      '_zero_digits(f.m) | dict.fromkeys(f.support, "1")', 'dict.fromkeys(f.support, "1") | _zero_digits(f.m)',
      RM + "test_word_poly_roundtrip_random"),
+    # simulate reads an empty fixed weight as 0
+    ("mode-empty-weight-as-zero", "cli.py",
+     '"fixed_weight", int(value), None', '"fixed_weight", int(value or 0), None',
+     "tests/test_cli.py::test_simulate_bad_mode"),
+    # simulate truncates a fractional fixed weight
+    ("mode-weight-through-float", "cli.py",
+     '"fixed_weight", int(value), None', '"fixed_weight", int(float(value)), None',
+     "tests/test_cli.py::test_simulate_bad_mode"),
+    # simulate reads every mode other than fixed as bsc
+    ("mode-any-kind-as-bsc", "cli.py",
+     'if kind == "bsc":', 'if kind != "fixed":',
+     "tests/test_cli.py::test_simulate_bad_mode"),
+    # a bad number reaches the user as int's or float's own message
+    ("mode-number-error-unwrapped", "cli.py",
+     "except ValueError:\n        pass", "except ArithmeticError:\n        pass",
+     "tests/test_cli.py::test_simulate_bad_mode"),
     # Left out as equivalent: poly_to_word's size rule never taken, always taken,
     # or with >= for >.  Either path gives every support the same word or the same
     # error, so these change only its speed.

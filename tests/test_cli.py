@@ -328,13 +328,13 @@ def test_simulate_zero_weight_all_clean(capsys, tmp_path):
     assert all(row.split(",")[2] == "clean" for row in rows)
 
 
-@pytest.mark.parametrize("mode", ["burst:2", "fixed:", "fixed:x", "bsc:", "bsc:abc"])
+@pytest.mark.parametrize("mode", ["burst:2", "fixed:", "fixed:x", "bsc:", "bsc:abc", "burst:0.5", "fixed:1.5"])
 def test_simulate_bad_mode(capsys, tmp_path, mode):
     code, _, err = run(
         capsys, "simulate", "-m", "3", "-l", "2", "--trials", "5",
         "--mode", mode, "--seed", "0", "--out", str(tmp_path / "x.csv"),
     )
-    assert code == 2 and "mode" in err
+    assert (code, err) == (2, f"error: --mode must be fixed:W or bsc:P, got {mode!r}\n")
 
 
 def test_simulate_rejects_zero_trials(capsys, tmp_path):

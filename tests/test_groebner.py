@@ -68,6 +68,9 @@ def test_non_groebner_pair_reported():
 
 def test_is_reduced_negative():
     assert not is_reduced([parse_poly("x1", 2), parse_poly("x1*x2", 2)])
+    assert not is_reduced([parse_poly("x1*x2", 2), parse_poly("x1", 2)])  # the dividing lead comes second
+    assert not is_reduced([parse_poly("x2", 2), parse_poly("x1 + x2", 2)])  # a tail monomial is another's lead
+    assert not is_reduced([parse_poly("x1 + x2", 2), parse_poly("x1", 2)])  # two elements share a lead
     assert is_reduced([parse_poly("x1", 2), parse_poly("x2", 2)])
 
 

@@ -4,6 +4,8 @@
 monomials, where ``division.packed_remainder`` reduces each dividend from
 scratch.  They must agree exactly: on ``check_basis`` reports, failing
 pair and remainder included, and on ``divide``'s remainders and quotients.
+``check_basis`` sums each S-pair's products off one such memo, without
+forming the S-polynomial, and forms it only when the memo cannot sum them.
 ``divide`` takes its remainder from the memo of its thread's slot when the
 slot already holds its divisor list: from the second call by one list on,
 or from the first after a ``check_basis`` of that list, which leaves its
@@ -18,6 +20,7 @@ before the divides, which it hands its memo, and once after them, when
 it takes theirs.
 """
 
+import itertools
 import random
 import re
 import sys
@@ -29,8 +32,8 @@ import pytest
 
 import tuple_toolkit as ref
 from rmgb import division
-from rmgb.division import divide, packed_normal_form, packed_remainder
-from rmgb.groebner import buchberger_complete, check_basis, reduce_basis
+from rmgb.division import divide, memo_remainder, packed_normal_form, packed_remainder
+from rmgb.groebner import _packed_s, _s_remainder, buchberger_complete, check_basis, reduce_basis
 from rmgb.polyring import GRLEX, LEX, pack_polys, parse_poly
 from rmgb.rmcode import Word, word_to_poly
 from test_packed_toolkit import _check_report_matches, random_poly, seeded_ideals
@@ -41,13 +44,9 @@ DIVIDENDS = 8  # per basis, as the benchmark's groebner workload divides
 MEMO, CLASSICAL = (1, 0), (0, 1)  # kernel calls (memo, classical) of a divide by each kernel, with no fallback
 
 
-def _classical(work, divisors, packing, memo):
-    return packed_remainder(work, divisors, packing)
-
-
 def classical_check(basis, order):
-    """``check_basis`` with every pair reduced by the classical kernel."""
-    with mock.patch("rmgb.groebner.packed_normal_form", _classical):
+    """``check_basis`` with every pair's S-polynomial formed and reduced by the classical kernel."""
+    with mock.patch("rmgb.groebner.memo_remainder", lambda *args: None):
         return check_basis(basis, order)
 
 
@@ -106,7 +105,8 @@ def kernel_calls(f, divisors, order):
 
 @pytest.fixture
 def classical_calls(monkeypatch):
-    """The calls of the classical kernel, counted: ``divide``'s own, a memo's fallbacks, lazy quotients."""
+    """The calls of the classical kernel, counted: ``divide``'s own, a memo's fallbacks, lazy quotients
+    and ``check_basis``'s S-polynomials that the memo cannot sum."""
     calls = []
 
     def counted(*args):
@@ -114,6 +114,7 @@ def classical_calls(monkeypatch):
         return packed_remainder(*args)
 
     monkeypatch.setattr(division, "packed_remainder", counted)
+    monkeypatch.setattr("rmgb.groebner.packed_remainder", counted)
     return calls
 
 
@@ -203,7 +204,8 @@ def test_check_basis_takes_the_memo_divide_left(order):
     # two divides leave a memo in the slot; check_basis by the same list
     # reduces its pairs with it, keeps it there, and reports as classically;
     # one divide leaves its key with an empty memo, which check_basis fills
-    # when it reduces a nonzero S-polynomial
+    # when a kept pair has a product: it values the products of both
+    # elements, those that cancel in the S-polynomial too
     filled = 0
     for basis, dividends in handoff_bases(order):
         for f in dividends[:2]:
@@ -219,11 +221,11 @@ def test_check_basis_takes_the_memo_divide_left(order):
         assert division._last.key == (packing, packed) and memo == ({}, [])
         sizes = []
 
-        def sized(work, *args):
-            sizes.append(len(work))
-            return packed_normal_form(work, *args)
+        def sized(monos, *args):
+            sizes.append(len(monos))
+            return memo_remainder(monos, *args)
 
-        with mock.patch("rmgb.groebner.packed_normal_form", sized):
+        with mock.patch("rmgb.groebner.memo_remainder", sized):
             outcome(check_basis, basis, order)
         assert division._last.memo is memo and bool(memo[0]) == any(sizes)
         filled += any(sizes)
@@ -360,6 +362,118 @@ def test_memo_matches_classical_kernel_near_the_cap():
         divisors = [p for p in (random_poly(rng, m, 5) for _ in range(rng.randint(1, 4))) if p]
         if divisors:
             compare_kernels(divisors, [random_poly(rng, m, 10, 4) for _ in range(3)], order, reference=False)
+
+
+def s_remainder_outcomes(basis, order):
+    """For every pair i < j, kept by the pair criteria or not: its S-remainder by
+    ``_s_remainder``, with one memo for all pairs, and by ``packed_normal_form``
+    of the formed S-polynomial, with a memo of its own; each a list or an error."""
+    packing, packed = pack_polys(basis, order)
+    memo = {}, []
+    for i, j in itertools.combinations(range(len(packed)), 2):
+        pair = packing.lcm(packed[i][0], packed[j][0]), i, j
+        got = outcome(_s_remainder, packing, packed, pair, memo)
+        want = outcome(lambda: packed_normal_form(_packed_s(packed[i], packed[j], packing), packed, packing, ({}, [])))
+        yield got, want
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_s_remainder_matches_the_formed_s_polynomial(order, monkeypatch):
+    # the remainders summed off the memo, product by product, are those of
+    # the S-polynomials: on completed, reduced and non-Groebner bases of
+    # seeded ideals, and on random divisors near the cap, where some products
+    # pass the cap and some walks do, so some pairs form their S-polynomial
+    formed = []
+    monkeypatch.setattr("rmgb.groebner._packed_s", lambda *args: formed.append(None) or _packed_s(*args))
+    bases = []
+    for rng, m, gens in seeded_ideals(601, 40):
+        completed = buchberger_complete(gens, order)
+        reduced = list(reduce_basis(completed, order))
+        bases += [list(completed), reduced]
+        if len(reduced) >= 3:
+            a, b, c = rng.sample(range(len(reduced)), 3)
+            bases.append([g for k, g in enumerate(reduced) if k != a] + [reduced[b] + reduced[c]])
+    rng = random.Random(616)
+    for _ in range(200):
+        m = rng.randint(1, 4)
+        basis = [p for p in (random_poly(rng, m, 5, 4) for _ in range(rng.randint(2, 4))) if p]
+        if basis:
+            bases.append(basis)
+    kinds = set()
+    for basis in bases:
+        for got, want in s_remainder_outcomes(basis, order):
+            assert got == want
+            kinds.add("error" if isinstance(got, str) else bool(got))
+    assert kinds == {"error", True, False} and formed
+
+
+def test_walk_past_the_cap_of_a_product_that_cancels():
+    # under lex, lcm(x1^4*x2^2, x1*x2^2) = x1^4*x2^2, and both elements'
+    # products are x1^3*x2^4, so the S-polynomial is zero; the memo values
+    # that product all the same, and its walk passes the cap (x1*x2^2
+    # divides it, leaving x1^2*x2^6), so the pair forms its S-polynomial,
+    # which reduces to zero classically, as before
+    basis = [parse_poly(text, 2) for text in ("x1^3*x2^4 + x1^4*x2^2", "x2^4 + x1*x2^2")]
+    packing, packed = pack_polys(basis, LEX)
+    with pytest.raises(ValueError, match=re.escape("exponent overflow: product (2, 6) exceeds cap 4")):
+        divide(parse_poly("x1^3*x2^4", 2), basis, LEX)
+    assert _packed_s(*packed, packing) == set()
+    assert [(got, want) for got, want in s_remainder_outcomes(basis, LEX)] == [([], [])]
+    division._last.key = division._last.memo = None
+    with mock.patch("rmgb.groebner._packed_s", wraps=_packed_s) as formed:
+        report = check_basis(basis, LEX)
+    assert formed.call_count == 1 and report == classical_check(basis, LEX)
+    assert (report.is_groebner, report.failing_pair) == (True, None)
+    _check_report_matches(basis, LEX)
+
+
+@pytest.mark.parametrize("first, then", [(GRLEX, LEX), (LEX, GRLEX)])
+def test_divide_repacks_the_same_tuple_under_another_order(first, then):
+    # a divide by the tuple that the slot last packed reuses that packing
+    # only under the same monomial order; under the other, the tuple is
+    # packed again, and the remainders are the classical ones of each order;
+    # a list is packed at every call, so one changed in place divides as
+    # what it holds now
+    rng = random.Random(617)
+    differ = changed = 0
+    for _, m, gens in seeded_ideals(617, 40):
+        basis = tuple(reduce_basis(buchberger_complete(gens, first), first))
+        dividends = [random_poly(rng, m, 8, 2) for _ in range(3)]
+        for order in (first, first, then, then, first):
+            for f in dividends:
+                got = outcome(divide, f, basis, order)
+                assert got == outcome(ref.divide, f, basis, order)
+        differ += any(outcome(classical_remainder, f, basis, LEX) != outcome(classical_remainder, f, basis, GRLEX)
+                      for f in dividends)
+        divisors = list(basis)
+        for contents in (basis, basis, gens, gens):
+            divisors[:] = contents
+            for f in dividends:
+                assert outcome(divide, f, divisors, first) == outcome(ref.divide, f, contents, first)
+        changed += any(outcome(classical_remainder, f, basis, first) != outcome(classical_remainder, f, gens, first)
+                       for f in dividends)
+    assert differ >= 6 and changed >= 20  # of 40 ideals: 6 and 23 with grlex first, 7 and 23 with lex first
+
+
+def test_divide_after_a_check_basis_by_other_divisors():
+    # a check_basis by another list, or by the same Polys under the other
+    # order, between two divides by one tuple, replaces the slot: the second
+    # divide packs its tuple again and runs classically; a check_basis by an
+    # equal list keeps the slot, and the divide is served by its memo
+    rng = random.Random(618)
+    for _, m, gens in seeded_ideals(618, 20):
+        basis = tuple(reduce_basis(buchberger_complete(gens, GRLEX), GRLEX))
+        other = list(reduce_basis(buchberger_complete(gens[1:] or gens, GRLEX), GRLEX))
+        f = square_free_dividends(rng, m, 1)[0]
+        want = classical_remainder(f, basis, GRLEX)
+        for checked, order, calls in ((other + [basis[0]], GRLEX, CLASSICAL), (list(basis), LEX, CLASSICAL),
+                                      (list(basis), GRLEX, MEMO)):
+            divide(f, basis, GRLEX)
+            divide(f, basis, GRLEX)
+            check_basis(checked, order)
+            got, got_calls = kernel_calls(f, basis, GRLEX)
+            assert got.remainder == want and got_calls == calls
+            assert got == ref.divide(f, basis, GRLEX)
 
 
 if __name__ == "__main__":

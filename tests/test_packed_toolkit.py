@@ -17,7 +17,7 @@ import pytest
 
 import tuple_toolkit as ref
 from rmgb.division import divide
-from rmgb.groebner import _packed_s, buchberger_complete, check_basis, is_reduced, reduce_basis, s_polynomial
+from rmgb.groebner import _packed_s, _s_remainder, buchberger_complete, check_basis, is_reduced, reduce_basis, s_polynomial
 from rmgb.polyring import EXPONENT_CAP, GRLEX, LEX, Poly, parse_poly
 from rmgb.rmcode import monomial_positions, square_relations
 
@@ -99,24 +99,29 @@ PAIR_COUNTS = {
 @pytest.mark.parametrize("order", ORDERS)
 def test_pair_criteria_reduce_pinned_pair_counts(order, monkeypatch):
     # results alone do not show a pair the criteria should have dropped: it
-    # only costs a reduction, so the reductions are counted and pinned, by
-    # the S-polynomials formed, as completion and check_basis reduce by
-    # different kernels
+    # only costs a reduction, so the reductions are counted and pinned:
+    # completion's by the S-polynomials it forms, check_basis's by the
+    # S-remainders it sums off the memo without forming them
     calls = []
 
-    def counted(*args):
-        calls.append(None)
-        return _packed_s(*args)
+    def counter(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(f"rmgb.groebner.{name}", counted)
 
-    monkeypatch.setattr("rmgb.groebner._packed_s", counted)
+    counter("_packed_s", _packed_s)
+    counter("_s_remainder", _s_remainder)
     completions, checks = [], []
     for _, _, gens in seeded_ideals(601, 40):
         calls.clear()
         basis = buchberger_complete(gens, order)
-        completions.append(len(calls))
+        completions.append(calls.count("_packed_s"))
+        assert "_s_remainder" not in calls
         reduced = reduce_basis(basis, order)
         calls.clear()
         assert check_basis(reduced, order).is_groebner
+        assert "_packed_s" not in calls  # no pair fell back to forming its S-polynomial
         checks.append(len(calls))
     assert (completions, checks) == PAIR_COUNTS[order]
 
