@@ -15,15 +15,16 @@ matches, that monomial moves to the remainder.
 The remainder generally depends on the divisor order unless the
 divisors form a Groebner basis.
 
-``divide`` packs the divisors with ``polyring.pack_polys`` and ``f``
-with the same ``MonomialPacking``, reduces and unpacks the remainder.
-``packed_remainder`` is the classical kernel.  It keeps the working
-polynomial as a set of packed monomials and takes each leading monomial
-from a max-heap with lazy deletion: every monomial that enters the set is
-pushed, a popped one that has since cancelled out is skipped, so the
-first popped one still in the set is its largest.
+``divide`` takes the divisors packed by ``polyring.pack_polys``, through
+the slot below, packs ``f`` with the same ``MonomialPacking``, reduces
+and unpacks the remainder.  ``packed_remainder`` is the classical
+kernel.  It keeps the working polynomial as a set of packed monomials
+and takes each leading monomial from a max-heap with lazy deletion:
+every monomial that enters the set is pushed, a popped one that has
+since cancelled out is skipped, so the first popped one still in the set
+is its largest.
 
-``packed_normal_form`` is the memoized kernel, for many dividends by one
+``memo_remainder`` is the memoized kernel, for many dividends by one
 divisor list.  Under the first-divisor rule, which divisor reduces a
 monomial depends on that monomial alone, so the remainder (and each
 quotient) is XOR-linear in the dividend: rem(f) is the sum of rem(x)
@@ -33,29 +34,29 @@ leaves f + x + q * tail(d), q = x / lm(d), whose monomials all lie below
 x, so rem(f) = rem(f + x) + rem(q * tail(d)), and rem(x) = rem(q *
 tail(d)).  The kernel keeps rem(x) for each monomial it meets, computed
 once from the kept remainders of the products q * t, and sums the kept
-values of the dividend's monomials.  It forms the products of every
+values of the dividend's monomials.  So a memo's values depend only on
+the packing and on the divisors' leads, in their order, and tail sets,
+not on the order of a tail's monomials.  It forms the products of every
 monomial of the dividend and of every product, recursively, where the
 classical kernel forms only those of the monomials that still lead when
 their turn comes.  So its products are a superset of the classical
 run's.  When one passes the exponent cap, or the memo has no room left,
-the call runs classically, which raises where it always did, or
-succeeds.
+it returns None and its caller runs the classical kernel, which raises
+where it always did, or succeeds.
 
-Each thread keeps one slot, ``_last``: the packing and divisor list of
-its last ``divide`` or ``groebner.check_basis``, always with their memo,
-which its only writer, ``basis_memo``, starts empty for each new key.
-``check_basis`` sums all its S-remainders off that memo with
-``memo_remainder``, which takes the products of both elements of a pair,
-so the S-polynomial is not formed.  ``divide`` uses the memo when the
-slot already held its divisors: from the first call after such a check,
-else from the second in a row, so a one-off division runs the classical
-kernel alone.  A memo's values depend only on its packing and divisors,
-so which call filled it changes no result.  When ``divide`` gets the
-very tuple that it packed into the slot, under the same order, it takes
-the slot's packing without packing the tuple again: a tuple of Polys
-cannot change.  Completion and ``reduce_basis`` stay classical (see
-``groebner``).  ``divide``'s quotients are always computed,
-classically, when first read.
+Each thread keeps one slot, ``_last``, written only by ``basis_slot``:
+the order and divisors, as a tuple, of its last ``divide`` or
+``groebner.check_basis``, with their packing, packed pairs and memo.
+Equal divisors hit it, lists and tuples alike, so a list changed in
+place since misses.  Equal but distinct divisors take the slot's packed
+pairs, whose tails may list their monomials in another order; that can
+change only which product past the cap an error names.  ``check_basis``
+sums its S-remainders off the slot's memo without forming the
+S-polynomials.  ``divide`` uses the memo when the slot already held its
+divisors: from the first call after such a check, else from the second
+in a row, so a one-off division runs the classical kernel alone.
+Completion and ``reduce_basis`` stay classical (see ``groebner``).
+``divide``'s quotients are always computed, classically, when first read.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def packed_remainder(work: set, divisors, packing: MonomialPacking, quotients=No
     return rem
 
 
-def packed_normal_form(work: set, divisors, packing: MonomialPacking, memo) -> list:
-    """``packed_remainder(work, divisors, packing)``, summed from remembered remainders of monomials.
+def memo_remainder(monos, divisors, packing: MonomialPacking, memo) -> list | None:
+    """The remainder of the sum of ``monos``, from ``memo``; None when a monomial cannot be valued.
 
     ``memo`` is a pair ``(values, standard)``, an empty dict and list at
     first, kept for one ``divisors`` and ``packing``.  ``values[x]`` is
@@ -145,20 +146,10 @@ def packed_normal_form(work: set, divisors, packing: MonomialPacking, memo) -> l
     shares that product's value.  ``standard`` holds at most
     ``MEMO_LIMIT`` monomials, so a bitset has at most that many bits.
     Once ``values`` holds ``VALUES_LIMIT`` entries it takes no more (the
-    walk that crosses the limit finishes) and serves those it holds.  A
-    call whose monomials the memo cannot value within those limits, or
-    that meets a product past the exponent cap, runs ``packed_remainder``
-    instead and uses ``work`` up.
-    """
-    rem = memo_remainder(work, divisors, packing, memo)
-    return packed_remainder(work, divisors, packing) if rem is None else rem
-
-
-def memo_remainder(monos, divisors, packing: MonomialPacking, memo) -> list | None:
-    """The remainder of the sum of ``monos``, from ``memo``; None when a monomial cannot be valued.
-
+    walk that crosses the limit finishes) and serves those it holds.
     ``monos`` may repeat a monomial, which then cancels.  A monomial the
     memo lacks is valued by ``_normal_value``, unless ``values`` is full.
+    The remainder is in descending order, as ``packed_remainder``'s.
     """
     values, standard = memo
     acc = 0
@@ -222,18 +213,25 @@ def _normal_value(x: int, divisors, packing: MonomialPacking, memo) -> int | Non
 
 
 class _LastDivisors(threading.local):
-    key = memo = None  # (packing, packed divisors) of this thread's last divide or check_basis, and their memo
-    source = None  # (tuple, order) that a divide packed into ``key``, if the divisors came as a tuple
+    key = packing = packed = memo = None  # see the module docstring
 
 
 _last = _LastDivisors()
 
 
-def basis_memo(packing: MonomialPacking, packed) -> tuple:
-    """This thread's memo for ``packed`` divisors under ``packing``: the slot's, or a fresh one put there."""
-    if _last.key != (packing, packed):
-        _last.key, _last.memo, _last.source = (packing, packed), ({}, []), None
-    return _last.memo
+def basis_slot(divisors, order: str) -> tuple:
+    """``(packing, packed, memo, warm)`` of ``divisors`` under ``order``, from this thread's slot.
+
+    ``warm`` is whether the slot already held these divisors, equal and
+    in this order, under this monomial order; else they are packed by
+    ``pack_polys`` and put there with an empty memo.
+    """
+    key = order, tuple(divisors)  # a snapshot, which a list changed in place no longer equals
+    warm = _last.key == key
+    if not warm:
+        _last.packing, _last.packed = pack_polys(key[1], order)
+        _last.key, _last.memo = key, ({}, [])
+    return _last.packing, _last.packed, _last.memo, warm
 
 
 def divide(f: Poly, divisors, order: str = DEFAULT_ORDER) -> DivisionResult:
@@ -241,24 +239,17 @@ def divide(f: Poly, divisors, order: str = DEFAULT_ORDER) -> DivisionResult:
 
     When this thread's last call here or to ``groebner.check_basis`` had
     equal divisors in the same order and monomial order, the remainder
-    comes from ``packed_normal_form`` with that call's memo.  A tuple that
-    the last divide here packed, under the same order, is not packed
-    again.  The quotients are always computed, classically, when first
-    read.
+    comes from ``memo_remainder`` with that call's memo, and the divisors
+    are not packed again.  The quotients are always computed,
+    classically, when first read.
     """
-    held = _last.memo  # basis_memo returns it again only when the slot holds these divisors
-    source = _last.source
-    if source is not None and source[0] is divisors and source[1] == order:
-        (packing, packed), memo = _last.key, held  # a tuple's Polys pack as they did
-    else:
-        packing, packed = pack_polys(divisors, order)
-        memo = basis_memo(packing, packed)
-        if divisors.__class__ is tuple:
-            _last.source = divisors, order
+    packing, packed, memo, warm = basis_slot(divisors, order)
     if not isinstance(f, Poly) or f.m != packing.m:
         raise ValueError("f must be a Poly in the same variables as the divisors")
     work = set(map(packing.pack, f.support))
-    rem = packed_normal_form(work, packed, packing, memo) if memo is held else packed_remainder(work, packed, packing)
+    rem = memo_remainder(work, packed, packing, memo) if warm else None
+    if rem is None:
+        rem = packed_remainder(work, packed, packing)
     return DivisionResult((f, packed), packing.poly(rem), packing)
 
 

@@ -1,25 +1,26 @@
 """S-polynomials, the Buchberger criterion, completion, and reduced bases.
 
 Each public function takes its polynomials in through
-``polyring.pack_polys``, which packs each one once per order (one int
-per monomial, ordered as the monomial order) into a ``(lead, tail)``
-pair that the polynomial remembers.  It reduces with
-``division.packed_remainder`` and unpacks only the polynomials it
+``polyring.pack_polys``, which packs each one (one int per monomial,
+ordered as the monomial order) into a ``(lead, tail)`` pair.  It reduces
+with ``division.packed_remainder`` and unpacks only the polynomials it
 returns.  Buchberger completion keeps its packed basis for the whole
 run.  ``check_basis`` reduces every pair by the same basis, so it sums
-each S-remainder off one normal-form memo (``_s_remainder``), which
-``division.basis_memo`` keeps in the thread's slot for a following
-``divide`` by the same basis and order.  Completion and ``reduce_basis``
-stay on the classical kernel: each element that completion adds starts
-a new divisor list, and on ``groebner-m5``'s ideals a completion makes
-48 S-pair reductions over 14 lists, so a memo per list fills more than
-it serves.  Completion and ``check_basis`` share one pair rule,
-``_update``: the Gebauer-Moeller criteria (J. Symbolic Comput. 6, 1988).
+each S-remainder off one normal-form memo (``_s_remainder``).  It takes
+its pairs and memo from ``division.basis_slot``, which packs the basis
+only when the thread's slot does not hold it, and keeps them there for a
+following ``divide`` by the same basis and order.  Completion and
+``reduce_basis`` stay on the classical kernel: each element that
+completion adds starts a new divisor list, and on ``groebner-m5``'s
+ideals a completion makes 48 S-pair reductions over 14 lists, so a memo
+per list fills more than it serves.  Completion and ``check_basis``
+share one pair rule, ``_update``: the Gebauer-Moeller criteria (J.
+Symbolic Comput. 6, 1988).
 """
 
 from __future__ import annotations
 
-from .division import basis_memo, memo_remainder, packed_remainder, remainder
+from .division import basis_slot, memo_remainder, packed_remainder, remainder
 from .polyring import DEFAULT_ORDER, MonomialPacking, Poly, Record, pack_polys
 
 MAX_ADDITIONS = 10000  # S-remainders buchberger_complete may add before it gives up
@@ -109,19 +110,18 @@ def check_basis(basis, order: str = DEFAULT_ORDER) -> BasisReport:
     j = e < h, and lcm(e, h) divides lcm(g, h) with i = e > g.
 
     The pairs share one normal-form memo, so each monomial is reduced
-    once for all of them.  It is ``division.basis_memo``'s, so the
+    once for all of them.  It comes from ``division.basis_slot``, so the
     divides by this basis and order that follow in this thread use it.
     """
-    packing, packed = pack_polys(basis, order)
-    failing = _failing_pair(packing, packed)
+    packing, packed, memo, _ = basis_slot(basis, order)
+    failing = _failing_pair(packing, packed, memo)
     return BasisReport(failing is None, _is_reduced(packing, packed), failing)
 
 
-def _failing_pair(packing: MonomialPacking, packed) -> tuple | None:
+def _failing_pair(packing: MonomialPacking, packed, memo) -> tuple | None:
     active, pairs = [], []
     for h in range(len(packed)):
         _update(packing, packed, active, pairs, h)
-    memo = basis_memo(packing, packed)
     for pair in pairs:
         r = _s_remainder(packing, packed, pair, memo)
         if r:
@@ -177,7 +177,7 @@ def _is_reduced(packing: MonomialPacking, packed) -> bool:
 
 def ideal_member(f: Poly, basis, order: str = DEFAULT_ORDER) -> bool:
     """Ideal membership test.  ``basis`` must be a Groebner basis."""
-    return not remainder(f, list(basis), order)
+    return not remainder(f, basis, order)
 
 
 def _nonzero(polys) -> list:

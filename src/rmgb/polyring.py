@@ -46,11 +46,10 @@ variable, still fits its field.  With that invariant:
 A packing memoizes ``pack``, ``unpack`` and ``lcm``, each in a
 least-recently-used table of at most ``MEMO_LIMIT`` entries, so memory
 stays bounded up to m = 16; it pickles and copies as the shared packing.
-A ``Poly`` remembers its ``(lead, tail)`` split for the last order it was
-split in, outside equality, hashing, ``repr`` and pickling, so each
-``divide`` by a basis that ``check_basis`` packed reuses its split.  The
-tail is a tuple in ``f.support``'s iteration order, which decides the
-product that an overflow error names.
+``pack_polys`` splits each polynomial into ``(lead, tail)`` at every
+call; a ``divide`` by the divisors that ``division``'s slot holds splits
+nothing.  The tail is a tuple in ``f.support``'s iteration order, which
+decides the product that an overflow error names.
 """
 
 from __future__ import annotations
@@ -121,8 +120,7 @@ class Poly(Record):
     ``*``, equality, hashing, and truthiness (zero polynomial is falsy).
     """
 
-    __slots__ = ("m", "support", "_split")
-    _fields = ("m", "support")  # so equality, hashing and pickles leave out the remembered split
+    __slots__ = _fields = ("m", "support")
 
     def __init__(self, m: int, monomials: Iterable[Monomial] = ()):
         if not (type(m) is int and 1 <= m <= MAX_VARS):
@@ -133,14 +131,13 @@ class Poly(Record):
             if len(mono) != m:
                 raise ValueError(f"monomial {mono} has {len(mono)} exponents, expected {m}")
             for e in mono:
-                if not isinstance(e, int) or e < 0:
+                if type(e) is not int or e < 0:
                     raise ValueError(f"bad exponent in monomial {mono}")
                 if e > EXPONENT_CAP:
                     raise ValueError(f"exponent {e} exceeds cap {EXPONENT_CAP}")
             support ^= {mono}  # coefficients are mod 2, duplicates cancel
         self._set("m", m)
         self._set("support", frozenset(support))
-        self._set("_split", None)
 
     @classmethod
     def _make(cls, m: int, support: frozenset) -> "Poly":
@@ -148,7 +145,6 @@ class Poly(Record):
         self = object.__new__(cls)
         self._set("m", m)
         self._set("support", support)
-        self._set("_split", None)
         return self
 
     def __bool__(self) -> bool:
@@ -235,16 +231,11 @@ class MonomialPacking:
     def split(self, f: Poly):
         """``(lead, tail)`` of a nonzero ``f``: its packed leading monomial, and
         a tuple of its other monomials packed, in the order ``f.support`` yields
-        them.  ``f`` keeps the pair of the last order it was split in."""
-        known = f._split
-        if known is not None and known[0] == self.grlex:
-            return known[1]
+        them."""
         tail = [self.pack(mono) for mono in f.support]
         lead = max(tail)
         tail.remove(lead)
-        pair = lead, tuple(tail)
-        f._set("_split", (self.grlex, pair))
-        return pair
+        return lead, tuple(tail)
 
     def poly(self, packed) -> Poly:
         return Poly._make(self.m, frozenset(map(self.unpack, packed)))

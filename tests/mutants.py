@@ -35,10 +35,14 @@ KER = "tests/test_kernel.py::"
 REC = "tests/test_records.py::"
 
 MUTANTS = [
-    # packed_normal_form sums 0 for a monomial it cannot value, not the classical result
+    # memo_remainder sums 0 for a monomial it cannot value, where its caller would run the classical kernel
     ("fallback-dropped", "division.py",
-     "return packed_remainder(work, divisors, packing)", "v = 0",
+     "if v is None:\n                return None", "if v is None:\n                v = 0",
      NF + "test_memo_matches_classical_kernel_on_seeded_ideals[lex]"),
+    # divide takes None from a memo that cannot value a monomial and never runs the classical kernel
+    ("divide-fallback-dropped", "division.py",
+     "if rem is None:", "if False:",
+     NF + "test_memo_past_the_cap_falls_back_to_classical"),
     # the walk skips the XOR of a monomial's second product
     ("one-xor-skipped", "division.py",
      "for k in range(1, len(products)):", "for k in range(2, len(products)):",
@@ -61,47 +65,37 @@ MUTANTS = [
      NF + "test_full_memo_serves_what_it_holds[1000-3]"),
     # every divide is served by the memo, a one-off divide included
     ("divide-always-warm", "division.py",
-     "if memo is held else", "if True else",
+     "memo) if warm else None", "memo) if True else None",
      NF + "test_one_off_divide_computes_its_quotients_when_first_read[lex]"),
     # no divide is served by the memo, not even after a check_basis of its list
     ("divide-never-warm", "division.py",
-     "if memo is held else", "if False else",
+     "memo) if warm else None", "memo) if False else None",
      NF + "test_memo_matches_classical_kernel_on_seeded_ideals[lex]"),
-    # basis_memo stores its key without the packing, so no call finds the slot's memo
+    # the slot's key leaves out the monomial order, which picks the packing, so
+    # the same divisors under the other order read this order's packed pairs
     ("key-without-packing", "division.py",
-     "_last.key, _last.memo, _last.source = (packing, packed), ({}, []), None",
-     "_last.key, _last.memo, _last.source = (None, packed), ({}, []), None",
-     NF + "test_memo_matches_classical_kernel_on_seeded_ideals[lex]"),
-    # a new key keeps the tuple a divide packed before, so that tuple's next divide reads another list's packing
-    ("source-kept-on-new-key", "division.py",
-     "_last.key, _last.memo, _last.source = (packing, packed), ({}, []), None",
-     "_last.key, _last.memo = (packing, packed), ({}, [])",
-     NF + "test_divide_after_a_check_basis_by_other_divisors"),
-    # divide reuses the slot's packing for its tuple under either monomial order
-    ("reuse-ignores-order", "division.py",
-     "source[0] is divisors and source[1] == order", "source[0] is divisors",
+     "key = order, tuple(divisors)", "key = None, tuple(divisors)",
      NF + "test_divide_repacks_the_same_tuple_under_another_order[grlex-lex]"),
-    # divide reuses the slot's packing for a list too, which may have changed since
-    ("reuse-takes-lists", "division.py",
-     "if divisors.__class__ is tuple:", "if True:",
-     NF + "test_divide_repacks_the_same_tuple_under_another_order[grlex-lex]"),
+    # the slot's key holds the list itself, not a snapshot, so a list changed in place still hits
+    ("key-without-snapshot", "division.py",
+     "key = order, tuple(divisors)", "key = order, divisors",
+     NF + "test_list_changed_in_place_after_check_basis_divides_classically"),
     # the walk tests the guard bit alone, so it values products with exponents 5 to 7
     ("walk-cap-as-guard", "division.py",
      "if (y + room) & guard:  # a product past the cap", "if y & guard:  # a product past the cap",
      NF + "test_s_remainder_matches_the_formed_s_polynomial[lex]"),
-    # basis_memo writes the slot but never reads it: a fresh memo on every call
+    # basis_slot writes the slot but never reads it: fresh pairs and memo on every call
     ("slot-never-read", "division.py",
-     "if _last.key != (packing, packed):", "if True:",
+     "warm = _last.key == key", "warm = False",
      NF + "test_check_basis_takes_the_memo_divide_left[lex]"),
     # the lazy quotients are computed again on every read
     ("quotients-not-cached", "division.py",
      "@cached_property\n    def quotients(self)", "@property\n    def quotients(self)",
      NF + "test_one_off_divide_computes_its_quotients_when_first_read[lex]"),
-    # check_basis leaves its memo under the other monomial order's packing
-    ("memo-under-other-order", "groebner.py",
-     "memo = basis_memo(packing, packed)\n    for pair in pairs:",
-     'memo = basis_memo(MonomialPacking(packing.m, "lex" if packing.grlex else "grlex"), packed)\n'
-     "    for pair in pairs:",
+    # the slot files its pairs and memo under the other monomial order
+    ("memo-under-other-order", "division.py",
+     "_last.key, _last.memo = key, ({}, [])",
+     '_last.key, _last.memo = ("lex" if order == "grlex" else "grlex", key[1]), ({}, [])',
      NF + "test_check_basis_hands_its_memo_to_divide[lex]"),
     # an S-remainder sums only the first element's products
     ("s-remainder-j-side-dropped", "groebner.py",
@@ -125,7 +119,7 @@ MUTANTS = [
      GB + "test_is_reduced_negative"),
     # ideal_member calls a zero, None or 0 a member without checking it
     ("ideal-member-shortcut", "groebner.py",
-     "return not remainder(f, list(basis), order)", "return not f or not remainder(f, list(basis), order)",
+     "return not remainder(f, basis, order)", "return not f or not remainder(f, basis, order)",
      GB + "test_entry_points_check_every_element_before_dropping_zeros[ideal_member]"),
     # completion and reduce_basis drop zeros before checking the elements
     ("zeros-dropped-before-check", "groebner.py",
@@ -247,6 +241,10 @@ MUTANTS = [
     # a bool passes as a word length
     ("word-length-takes-bool", "rmcode.py",
      "type(n) is int", "isinstance(n, int)",
+     DEC + "test_non_integer_counts_are_rejected"),
+    # a bool passes as an exponent
+    ("exponent-takes-bool", "polyring.py",
+     "type(e) is not int or e < 0", "not isinstance(e, int) or e < 0",
      DEC + "test_non_integer_counts_are_rejected"),
     # a bool passes as a word value
     ("word-value-takes-bool", "rmcode.py",

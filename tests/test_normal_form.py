@@ -1,17 +1,18 @@
 """The memoized division kernel against the classical one and the tuple reference.
 
-``division.packed_normal_form`` sums remembered remainders of single
+``division.memo_remainder`` sums remembered remainders of single
 monomials, where ``division.packed_remainder`` reduces each dividend from
 scratch.  They must agree exactly: on ``check_basis`` reports, failing
 pair and remainder included, and on ``divide``'s remainders and quotients.
 ``check_basis`` sums each S-pair's products off one such memo, without
 forming the S-polynomial, and forms it only when the memo cannot sum them.
 ``divide`` takes its remainder from the memo of its thread's slot when the
-slot already holds its divisor list: from the second call by one list on,
-or from the first after a ``check_basis`` of that list, which leaves its
-memo there; it computes its quotients classically when they are first read.
-The memo falls back to the classical kernel when a product passes the
-exponent cap or when it fills up; both are pinned here.
+slot already holds its divisors, keyed on ``(order, tuple(divisors))``:
+from the second call by equal divisors on, or from the first after a
+``check_basis`` of them, which leaves its memo there; it computes its
+quotients classically when they are first read.  The memo falls back to
+the classical kernel when a product passes the exponent cap or when it
+fills up; both are pinned here.
 
 Run as a script, ``python tests/test_normal_form.py M [COUNT]`` compares
 the two kernels on COUNT seeded ideals of A (default 10) at one m too
@@ -32,9 +33,9 @@ import pytest
 
 import tuple_toolkit as ref
 from rmgb import division
-from rmgb.division import divide, memo_remainder, packed_normal_form, packed_remainder
+from rmgb.division import divide, memo_remainder, packed_remainder
 from rmgb.groebner import _packed_s, _s_remainder, buchberger_complete, check_basis, reduce_basis
-from rmgb.polyring import GRLEX, LEX, pack_polys, parse_poly
+from rmgb.polyring import GRLEX, LEX, format_poly, pack_polys, parse_poly
 from rmgb.rmcode import Word, word_to_poly
 from test_packed_toolkit import _check_report_matches, random_poly, seeded_ideals
 from test_rank_oracle import ideal_generators, reduced_basis
@@ -53,6 +54,14 @@ def classical_check(basis, order):
 def classical_remainder(f, basis, order):
     packing, packed = pack_polys(basis, order)
     return packing.poly(packed_remainder(set(map(packing.pack, f.support)), packed, packing))
+
+
+def clear_slot():
+    division._last.key = None  # so the next divide or check_basis installs a fresh memo
+
+
+def slot_holds(divisors, order):
+    return division._last.key == (order, tuple(divisors))
 
 
 def outcome(fn, *args):
@@ -85,8 +94,7 @@ def compare_kernels(basis, dividends, order, reference=True, divides_first=False
         compare_checks(basis, order, reference)
     else:
         assert all(isinstance(got, str) or memo_calls == 1 for got, (memo_calls, _) in results)
-    packing, packed = pack_polys(basis, order)
-    assert division._last.key == (packing, packed)
+    assert slot_holds(basis, order) and division._last.packed == pack_polys(basis, order)[1]
 
 
 def kernel_calls(f, divisors, order):
@@ -95,7 +103,7 @@ def kernel_calls(f, divisors, order):
     A memo-served divide makes one memo call, and one classical call when
     it falls back; a classical one makes one classical call alone.
     """
-    with mock.patch.object(division, "packed_normal_form", wraps=packed_normal_form) as memo, \
+    with mock.patch.object(division, "memo_remainder", wraps=memo_remainder) as memo, \
             mock.patch.object(division, "packed_remainder", wraps=packed_remainder) as classical:
         got = outcome(divide, f, divisors, order)
     calls = memo.call_count, classical.call_count
@@ -184,11 +192,10 @@ def test_check_basis_hands_its_memo_to_divide(order):
     # remainder and lazily read quotients are the tuple toolkit's
     served = 0
     for basis, dividends in handoff_bases(order):
-        division._last.key = division._last.memo = None
+        clear_slot()
         outcome(check_basis, basis, order)
-        packing, packed = pack_polys(basis, order)
         memo = division._last.memo
-        assert division._last.key == (packing, packed) and memo is not None
+        assert slot_holds(basis, order) and memo is not None
         for f in dividends:
             got, calls = kernel_calls(f, basis, order)
             assert got == outcome(ref.divide, f, basis, order)
@@ -216,9 +223,8 @@ def test_check_basis_takes_the_memo_divide_left(order):
         assert division._last.memo is memo
         outcome(divide, dividends[2], basis + basis[:1], order)
         assert kernel_calls(dividends[2], basis, order)[1] == CLASSICAL
-        packing, packed = pack_polys(basis, order)
         memo = division._last.memo
-        assert division._last.key == (packing, packed) and memo == ({}, [])
+        assert slot_holds(basis, order) and memo == ({}, [])
         sizes = []
 
         def sized(monos, *args):
@@ -286,7 +292,7 @@ def test_check_basis_in_another_thread_leaves_this_threads_slot():
 
         def worker():
             check_basis(basis, GRLEX)
-            seen.append(division._last.key == pack_polys(basis, GRLEX))
+            seen.append(slot_holds(basis, GRLEX))
 
         thread = threading.Thread(target=worker)
         thread.start()
@@ -309,17 +315,19 @@ def test_full_memo_serves_what_it_holds(values_limit, standard_limit, monkeypatc
     filled = served = 0
     for order in ORDERS:
         for _, m, gens in seeded_ideals(610, 20):
-            packing, packed = pack_polys(reduce_basis(buchberger_complete(gens, order), order), order)
-            memo = {}, []
-            dividends = [set(map(packing.pack, random_poly(rng, m, 8, 2).support)) for _ in range(DIVIDENDS // 2)]
-            for work in dividends + dividends:
+            basis = reduce_basis(buchberger_complete(gens, order), order)
+            dividends = [random_poly(rng, m, 8, 2) for _ in range(DIVIDENDS // 2)]
+            clear_slot()
+            outcome(divide, dividends[0], basis, order)  # classical: it puts the basis in the slot, memo empty
+            memo = division._last.memo
+            for f in dividends + dividends:
                 before, calls = len(memo[0]), len(classical_calls)
-                got = outcome(packed_normal_form, set(work), packed, packing, memo)
-                assert got == outcome(packed_remainder, set(work), packed, packing)  # both in descending order
-                assert len(memo[1]) <= standard_limit
+                got = outcome(lambda: divide(f, basis, order).remainder)
+                assert got == outcome(classical_remainder, f, basis, order)
+                assert division._last.memo is memo and len(memo[1]) <= standard_limit
                 assert len(memo[0]) == before or before < values_limit
                 filled += before < values_limit <= len(memo[0])
-                served += before >= values_limit and len(classical_calls) == calls and bool(work)
+                served += before >= values_limit and len(classical_calls) == calls and bool(f)
     assert classical_calls
     if values_limit < 1000:
         assert filled and served
@@ -333,10 +341,13 @@ def test_memo_past_the_cap_falls_back_to_classical(classical_calls):
     divisors = [parse_poly("x1^2 + x1*x2", 2), parse_poly("x1 + x2^4", 2)]
     f = parse_poly("x1^2 + x1*x2", 2)
     packing, packed = pack_polys(divisors, LEX)
-    assert packed_normal_form(set(map(packing.pack, f.support)), packed, packing, ({}, [])) == []
-    assert len(classical_calls) == 1
-    for _ in range(3):  # the first divide is classical, the next by the memo
-        got = divide(f, divisors, LEX)
+    work = set(map(packing.pack, f.support))
+    assert memo_remainder(work, packed, packing, ({}, [])) is None
+    assert packed_remainder(work, packed, packing) == []
+    clear_slot()
+    for calls in (CLASSICAL, (1, 1), (1, 1)):  # the first divide is classical, the next by the memo, which falls back
+        got, got_calls = kernel_calls(f, divisors, LEX)
+        assert got_calls == calls
         assert not got.remainder and got == ref.divide(f, divisors, LEX)
     # x1*x2 alone passes the cap in both kernels, with the same message
     for _ in range(3):
@@ -366,14 +377,14 @@ def test_memo_matches_classical_kernel_near_the_cap():
 
 def s_remainder_outcomes(basis, order):
     """For every pair i < j, kept by the pair criteria or not: its S-remainder by
-    ``_s_remainder``, with one memo for all pairs, and by ``packed_normal_form``
-    of the formed S-polynomial, with a memo of its own; each a list or an error."""
+    ``_s_remainder``, with one memo for all pairs, and by the classical kernel
+    on the formed S-polynomial; each a list or an error."""
     packing, packed = pack_polys(basis, order)
     memo = {}, []
     for i, j in itertools.combinations(range(len(packed)), 2):
         pair = packing.lcm(packed[i][0], packed[j][0]), i, j
         got = outcome(_s_remainder, packing, packed, pair, memo)
-        want = outcome(lambda: packed_normal_form(_packed_s(packed[i], packed[j], packing), packed, packing, ({}, [])))
+        want = outcome(lambda: packed_remainder(_packed_s(packed[i], packed[j], packing), packed, packing))
         yield got, want
 
 
@@ -419,7 +430,7 @@ def test_walk_past_the_cap_of_a_product_that_cancels():
         divide(parse_poly("x1^3*x2^4", 2), basis, LEX)
     assert _packed_s(*packed, packing) == set()
     assert [(got, want) for got, want in s_remainder_outcomes(basis, LEX)] == [([], [])]
-    division._last.key = division._last.memo = None
+    clear_slot()
     with mock.patch("rmgb.groebner._packed_s", wraps=_packed_s) as formed:
         report = check_basis(basis, LEX)
     assert formed.call_count == 1 and report == classical_check(basis, LEX)
@@ -429,11 +440,11 @@ def test_walk_past_the_cap_of_a_product_that_cancels():
 
 @pytest.mark.parametrize("first, then", [(GRLEX, LEX), (LEX, GRLEX)])
 def test_divide_repacks_the_same_tuple_under_another_order(first, then):
-    # a divide by the tuple that the slot last packed reuses that packing
-    # only under the same monomial order; under the other, the tuple is
-    # packed again, and the remainders are the classical ones of each order;
-    # a list is packed at every call, so one changed in place divides as
-    # what it holds now
+    # a divide by the divisors that the slot last packed reuses that packing
+    # only under the same monomial order; under the other, they are packed
+    # again, and the remainders are the classical ones of each order; a list
+    # changed in place between divides no longer equals the slot's snapshot,
+    # so it divides as what it holds now
     rng = random.Random(617)
     differ = changed = 0
     for _, m, gens in seeded_ideals(617, 40):
@@ -476,6 +487,90 @@ def test_divide_after_a_check_basis_by_other_divisors():
             assert got == ref.divide(f, basis, GRLEX)
 
 
+def test_second_divide_by_one_list_packs_nothing():
+    # the slot holds a snapshot of the list, which the same list object still
+    # equals, so neither the second divide nor one after a check_basis of the
+    # list packs it again, and each is served by the slot's memo
+    rng = random.Random(619)
+    for _, m, gens in seeded_ideals(619, 10):
+        basis = list(reduce_basis(buchberger_complete(gens, GRLEX), GRLEX))
+        f = square_free_dividends(rng, m, 1)[0]
+        with mock.patch.object(division, "pack_polys", wraps=pack_polys) as packs:
+            for first in (lambda: divide(f, basis, GRLEX), lambda: check_basis(basis, GRLEX)):
+                clear_slot()
+                packs.reset_mock()
+                first()
+                assert packs.call_count == 1
+                got, calls = kernel_calls(f, basis, GRLEX)
+                assert packs.call_count == 1 and calls == MEMO
+                assert got.remainder == classical_remainder(f, basis, GRLEX)
+
+
+def test_list_changed_in_place_after_check_basis_divides_classically():
+    # check_basis leaves its memo under a snapshot of the list; a divide by
+    # the same list object after an element is dropped, replaced or added,
+    # or the list reversed, misses the slot, runs the classical kernel, and
+    # gives the results of what the list holds now
+    rng = random.Random(620)
+    changed = 0
+    for _, m, gens in seeded_ideals(620, 20):
+        basis = list(reduce_basis(buchberger_complete(gens, GRLEX), GRLEX))
+        dividends = [random_poly(rng, m, 8, 2) for _ in range(3)]
+        for change in (lambda d: d.pop(0), lambda d: d.__setitem__(0, gens[-1]),
+                       lambda d: d.append(gens[0]), lambda d: d.reverse()):
+            for f in dividends:
+                divisors = list(basis)
+                check_basis(divisors, GRLEX)
+                change(divisors)
+                if divisors == basis or not divisors:
+                    continue
+                got, calls = kernel_calls(f, divisors, GRLEX)
+                assert calls == CLASSICAL and slot_holds(divisors, GRLEX)
+                assert got == outcome(ref.divide, f, divisors, GRLEX)
+                want = outcome(classical_remainder, f, divisors, GRLEX)
+                assert (got if isinstance(got, str) else got.remainder) == want
+                changed += want != outcome(classical_remainder, f, basis, GRLEX)
+    assert changed >= 50  # of 204 divides, 53 differ from the division by the basis checked
+
+
+def classical_division(f, divisors, order):
+    """Quotients and remainder of ``f`` by the classical kernel, packed afresh."""
+    packing, packed = pack_polys(divisors, order)
+    quotients = [[] for _ in packed]
+    rem = packed_remainder(set(map(packing.pack, f.support)), packed, packing, quotients)
+    return tuple(map(packing.poly, quotients)), packing.poly(rem)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_equal_divisors_rebuilt_from_text_take_the_checks_memo(order):
+    # divisors equal to the checked basis but distinct objects, rebuilt by
+    # parsing their text, hit the slot that check_basis left: the divide is
+    # served by its memo (a memo's values depend only on the leads and tail
+    # sets, and some rebuilt supports iterate in another order), and its
+    # remainder and quotients are those of the classical kernel on the
+    # rebuilt divisors, and the tuple toolkit's
+    rng = random.Random(621)
+    served = reordered = 0
+    for basis, dividends in handoff_bases(order):
+        rebuilt = [parse_poly(format_poly(g), g.m) for g in basis]
+        assert rebuilt == basis and not any(a is b for a, b in zip(rebuilt, basis))
+        reordered += any(list(a.support) != list(b.support) for a, b in zip(rebuilt, basis))
+        clear_slot()
+        outcome(check_basis, basis, order)
+        memo = division._last.memo
+        for f in dividends + [random_poly(rng, basis[0].m, 8, 2)]:
+            got, calls = kernel_calls(f, rebuilt, order)
+            assert division._last.memo is memo and calls[0] == 1
+            want = outcome(classical_division, f, rebuilt, order)
+            if isinstance(got, str):  # the same walk passes the cap, maybe at another product
+                assert isinstance(want, str) and got.startswith("exponent overflow")
+                continue
+            assert (got.quotients, got.remainder) == want
+            assert got == ref.divide(f, rebuilt, order)
+            served += calls == MEMO
+    assert served >= 95 and reordered >= 3  # of 100 divides, 97 under lex and 100 under grlex; of 25 bases, 3
+
+
 if __name__ == "__main__":
     m = int(sys.argv[1])
     count = int(sys.argv[2]) if len(sys.argv) > 2 else 10
@@ -486,7 +581,7 @@ if __name__ == "__main__":
             basis = reduced_basis(ideal_generators(rng, m), order, m)
             dividends = square_free_dividends(rng, m, DIVIDENDS)
             compare_kernels(basis, dividends, order, reference=False)
-            division._last.key = division._last.memo = None
+            clear_slot()
             compare_kernels(basis, dividends, order, reference=False, divides_first=True)
         print(f"m = {m}, {order}: memo and classical kernels agree on {count} reduced bases,"
               f" checked before and after the divides, in {time.perf_counter() - start:.1f} s")

@@ -260,33 +260,9 @@ def test_packing_agrees_with_exponent_tuples():
 
 def test_pickle_and_copy_round_trip():
     f = parse_poly("x1^2*x3 + x2 + 1", 3)
-    pack_polys([f], GRLEX)  # f now remembers a split, which must not travel
     copies = [pickle.loads(pickle.dumps(f, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for g in copies + [copy.copy(f), copy.deepcopy(f)]:
         assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
-        assert g._split is None
-
-
-def test_remembered_split_is_a_fresh_split():
-    # pack_polys splits each polynomial once per order and hands out the same
-    # pair after that: its packed lead is the order's largest monomial and its
-    # tail holds the others in the order f.support yields them; a polynomial
-    # split under lex, then grlex, then lex again gets each order's split
-    rng = random.Random(32)
-    for m in (1, 3, 5, 16):
-        for _ in range(50):
-            f = Poly(m, [tuple(rng.randint(0, EXPONENT_CAP) for _ in range(m)) for _ in range(rng.randint(1, 6))])
-            if not f:
-                continue
-            text, digest, twin = repr(f), hash(f), Poly(m, f.support)
-            for order in (LEX, GRLEX, LEX):
-                packing, [pair] = pack_polys([f], order)
-                assert pack_polys([f], order)[1][0] is pair
-                lead = max(f.support, key=monomial_key(order))
-                assert packing.unpack(pair[0]) == lead
-                assert type(pair[1]) is tuple
-                assert [packing.unpack(p) for p in pair[1]] == [mono for mono in f.support if mono != lead]
-            assert repr(f) == text and hash(f) == digest and f == twin and twin._split is None
 
 
 def test_pack_polys_shares_one_packing_per_variables_and_order():
