@@ -44,19 +44,36 @@ run's.  When one passes the exponent cap, or the memo has no room left,
 it returns None and its caller runs the classical kernel, which raises
 where it always did, or succeeds.
 
+Buchberger completion keeps one memo while its divisor list changes:
+each element it adds is appended, and evicts the elements whose leads
+its lead divides.  ``kill`` follows the list through each such entry.
+
+* Append.  A reducible monomial keeps its first divisor, and so its
+  value.  An irreducible one that the new lead divides has the new
+  element as its first divisor: its bit is killed.  The bit stays in
+  the values that hold it, and where it is summed, ``memo_remainder``
+  puts in its place the monomial's remainder under the new list (the
+  substitution; exact, since the remainder is linear).
+* Eviction.  A monomial whose first divisor was evicted gets another,
+  and so may every monomial whose value was derived from it.  So a
+  completion's memo records, for each value, the divisors its
+  derivation used, and drops the values that used an evicted one.
+* A full memo is emptied at the next entry.
+
 Each thread keeps one slot, ``_last``, written only by ``basis_slot``:
 the order and divisors, as a tuple, of its last ``divide`` or
 ``groebner.check_basis``, with their packing, packed pairs and memo.
 Equal divisors hit it, lists and tuples alike, so a list changed in
-place since misses.  Equal but distinct divisors take the slot's packed
-pairs, whose tails may list their monomials in another order; that can
-change only which product past the cap an error names.  ``check_basis``
-sums its S-remainders off the slot's memo without forming the
-S-polynomials.  ``divide`` uses the memo when the slot already held its
-divisors: from the first call after such a check, else from the second
-in a row, so a one-off division runs the classical kernel alone.
-Completion and ``reduce_basis`` stay classical (see ``groebner``).
-``divide``'s quotients are always computed, classically, when first read.
+place since misses.  Equal divisors that are not all the same objects
+are packed again, since their tails may list their monomials in another
+order, which decides the product that an overflow error names; they
+keep the slot's memo.  ``check_basis`` sums its S-remainders off the
+slot's memo without forming the S-polynomials.  ``divide`` uses the
+memo when the slot already held its divisors: from the first call after
+such a check, else from the second in a row, so a one-off division runs
+the classical kernel alone.  ``reduce_basis`` divides each element once,
+so it stays classical.  ``divide``'s quotients are always computed,
+classically, when first read.
 """
 
 from __future__ import annotations
@@ -64,6 +81,7 @@ from __future__ import annotations
 import threading
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from operator import is_not
 
 from .polyring import DEFAULT_ORDER, MEMO_LIMIT, MonomialPacking, Poly, Record, pack_polys
 
@@ -139,34 +157,74 @@ def packed_remainder(work: set, divisors, packing: MonomialPacking, quotients=No
 def memo_remainder(monos, divisors, packing: MonomialPacking, memo) -> list | None:
     """The remainder of the sum of ``monos``, from ``memo``; None when a monomial cannot be valued.
 
-    ``memo`` is a pair ``(values, standard)``, an empty dict and list at
-    first, kept for one ``divisors`` and ``packing``.  ``values[x]`` is
-    the remainder of monomial ``x`` as a bitset: bit k stands for the
-    irreducible monomial ``standard[k]``.  A monomial with one product
-    shares that product's value.  ``standard`` holds at most
-    ``MEMO_LIMIT`` monomials, so a bitset has at most that many bits.
-    Once ``values`` holds ``VALUES_LIMIT`` entries it takes no more (the
-    walk that crosses the limit finishes) and serves those it holds.
-    ``monos`` may repeat a monomial, which then cancels.  A monomial the
-    memo lacks is valued by ``_normal_value``, unless ``values`` is full.
-    The remainder is in descending order, as ``packed_remainder``'s.
+    ``memo`` is a list ``[values, standard, killed, used, bits]``, kept
+    for one ``packing`` and for ``divisors``, or for a list that ``kill``
+    has followed to them.  ``values[x]`` is the remainder of monomial
+    ``x`` as a bitset: bit k stands for the monomial ``standard[k]``,
+    irreducible unless ``killed`` sets bit k; a killed bit is replaced by
+    that monomial's remainder.  A monomial with one product shares that
+    product's value.  ``used`` is None in a memo of one divisor list, as
+    ``basis_slot`` makes it, ``[{}, [], 0, None, None]``.  Completion's
+    starts as ``[{}, [], 0, {}, {}]``: then ``used[x]`` sets the bits,
+    ``bits[lead]``, of the divisors that ``values[x]`` was derived with.
+    ``standard`` holds at most ``MEMO_LIMIT`` monomials, so a bitset has
+    at most that many bits.  Once ``values`` holds ``VALUES_LIMIT``
+    entries it takes no more (the walk that crosses the limit finishes)
+    and serves those it holds.  ``monos`` may repeat a monomial, which
+    then cancels.  A monomial the memo lacks is valued by
+    ``_normal_value``, unless ``values`` is full.  The remainder is in
+    descending order, as ``packed_remainder``'s.
     """
-    values, standard = memo
+    values, standard, killed, _, _ = memo
     acc = 0
-    for x in monos:
-        v = values.get(x)
-        if v is None:
-            v = None if len(values) >= VALUES_LIMIT else _normal_value(x, divisors, packing, memo)
+    while monos:
+        for x in monos:
+            v = values.get(x)
             if v is None:
-                return None
-        acc ^= v
-    rem = []
-    while acc:
-        low = acc & -acc
-        rem.append(standard[low.bit_length() - 1])
-        acc ^= low
+                v = None if len(values) >= VALUES_LIMIT else _normal_value(x, divisors, packing, memo)
+                if v is None:
+                    return None
+            acc ^= v
+        stale = acc & killed  # substitution: a killed bit's monomial is summed in its place
+        acc ^= stale
+        monos = _monomials(stale, standard)
+    rem = _monomials(acc, standard)
     rem.sort(reverse=True)
     return rem
+
+
+def _monomials(bitset: int, standard: list) -> list:
+    """The monomials of ``standard`` whose bits ``bitset`` sets."""
+    monos = []
+    while bitset:
+        low = bitset & -bitset
+        monos.append(standard[low.bit_length() - 1])
+        bitset ^= low
+    return monos
+
+
+def kill(memo, divisors, lead: int, guard: int) -> None:
+    """Follow completion's ``memo`` from ``divisors`` through the entry of an element with lead ``lead``.
+
+    The rules for the append and the evictions are in the module
+    docstring.  A full memo is emptied instead.
+    """
+    values, standard, killed, used, bits = memo
+    if len(values) >= VALUES_LIMIT or len(standard) >= MEMO_LIMIT:
+        memo[:] = [{}, [], 0, {}, {}]
+        return
+    evicted = 0  # the bits of the elements that the entry evicts
+    for d, _ in divisors:
+        if not (d - lead) & guard:
+            evicted |= bits.get(d, 0)
+    if evicted:
+        for x in [x for x, mask in used.items() if mask & evicted]:
+            del values[x], used[x]
+    for k, y in enumerate(standard):
+        if not (y - lead) & guard and not killed >> k & 1:
+            killed |= 1 << k
+            del values[y]  # so the walk and the substitution value y afresh
+    memo[2] = killed
 
 
 def _normal_value(x: int, divisors, packing: MonomialPacking, memo) -> int | None:
@@ -178,17 +236,22 @@ def _normal_value(x: int, divisors, packing: MonomialPacking, memo) -> int | Non
     never met again below itself.  Each monomial is tested against the
     cap when it is first popped, before it is valued.
     """
-    values, standard = memo
+    values, standard, _, used, bits = memo
     guard, room = packing.guard, packing.room
     stack = [x]
     while stack:
         y = stack.pop()
-        if y.__class__ is tuple:  # (y, products), every product valued
-            y, products = y
+        if y.__class__ is tuple:  # (y, products, lead of the divisor), every product valued
+            y, products, lead = y
             v = values[products[0]] if products else 0  # one product: its value is shared, not copied
             for k in range(1, len(products)):
                 v ^= values[products[k]]
             values[y] = v
+            if used is not None:  # the divisors that y's value is derived with, one bit per lead
+                mask = bits.setdefault(lead, 1 << len(bits))
+                for p in products:
+                    mask |= used.get(p, 0)
+                used[y] = mask
             continue
         if y in values:
             continue
@@ -205,7 +268,7 @@ def _normal_value(x: int, divisors, packing: MonomialPacking, memo) -> int | Non
             standard.append(y)
             continue
         products = [q + t for t in tail]
-        stack.append((y, products))
+        stack.append((y, products, lead))
         for p in products:
             if p not in values:
                 stack.append(p)
@@ -224,13 +287,14 @@ def basis_slot(divisors, order: str) -> tuple:
 
     ``warm`` is whether the slot already held these divisors, equal and
     in this order, under this monomial order; else they are packed by
-    ``pack_polys`` and put there with an empty memo.
+    ``pack_polys`` and put there with an empty memo.  Equal divisors
+    that are not all the same objects are packed again, and keep the memo.
     """
     key = order, tuple(divisors)  # a snapshot, which a list changed in place no longer equals
     warm = _last.key == key
-    if not warm:
+    if not warm or any(map(is_not, key[1], _last.key[1])):
         _last.packing, _last.packed = pack_polys(key[1], order)
-        _last.key, _last.memo = key, ({}, [])
+        _last.key, _last.memo = key, _last.memo if warm else [{}, [], 0, None, None]
     return _last.packing, _last.packed, _last.memo, warm
 
 

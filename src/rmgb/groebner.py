@@ -2,25 +2,26 @@
 
 Each public function takes its polynomials in through
 ``polyring.pack_polys``, which packs each one (one int per monomial,
-ordered as the monomial order) into a ``(lead, tail)`` pair.  It reduces
-with ``division.packed_remainder`` and unpacks only the polynomials it
-returns.  Buchberger completion keeps its packed basis for the whole
-run.  ``check_basis`` reduces every pair by the same basis, so it sums
-each S-remainder off one normal-form memo (``_s_remainder``).  It takes
-its pairs and memo from ``division.basis_slot``, which packs the basis
-only when the thread's slot does not hold it, and keeps them there for a
-following ``divide`` by the same basis and order.  Completion and
-``reduce_basis`` stay on the classical kernel: each element that
-completion adds starts a new divisor list, and on ``groebner-m5``'s
-ideals a completion makes 48 S-pair reductions over 14 lists, so a memo
-per list fills more than it serves.  Completion and ``check_basis``
-share one pair rule, ``_update``: the Gebauer-Moeller criteria (J.
-Symbolic Comput. 6, 1988).
+ordered as the monomial order) into a ``(lead, tail)`` pair, and unpacks
+only the polynomials it returns.  Completion and ``check_basis`` sum
+each S-remainder off a normal-form memo (``_s_remainder``), without
+forming the S-polynomial; the classical kernel,
+``division.packed_remainder``, reduces a pair only when the memo cannot
+value a product.  ``check_basis`` reduces every pair by the same basis.
+It takes its pairs and memo from ``division.basis_slot``, which packs
+the basis only when the thread's slot does not hold it, and keeps them
+there for a following ``divide`` by the same basis and order.
+Completion keeps its packed basis and one memo for its whole run, and
+``division.kill`` follows the memo through each element's entry to the
+active list (the rules are in ``division``'s docstring).
+``reduce_basis`` divides each element once, by the classical kernel.
+Completion and ``check_basis`` share one pair rule, ``_update``: the
+Gebauer-Moeller criteria (J. Symbolic Comput. 6, 1988).
 """
 
 from __future__ import annotations
 
-from .division import basis_slot, memo_remainder, packed_remainder, remainder
+from .division import basis_slot, kill, memo_remainder, packed_remainder, remainder
 from .polyring import DEFAULT_ORDER, MonomialPacking, Poly, Record, pack_polys
 
 MAX_ADDITIONS = 10000  # S-remainders buchberger_complete may add before it gives up
@@ -123,16 +124,17 @@ def _failing_pair(packing: MonomialPacking, packed, memo) -> tuple | None:
     for h in range(len(packed)):
         _update(packing, packed, active, pairs, h)
     for pair in pairs:
-        r = _s_remainder(packing, packed, pair, memo)
+        r = _s_remainder(packing, packed, pair, packed, memo)
         if r:
             return pair[1], pair[2], packing.poly(r)
     return None
 
 
-def _s_remainder(packing: MonomialPacking, packed, pair: tuple, memo) -> list:
-    """Packed remainder of the S-polynomial of ``pair``, ``(lcm, i, j)``, on division by ``packed``.
+def _s_remainder(packing: MonomialPacking, packed, pair: tuple, divisors, memo) -> list:
+    """Packed remainder of the S-polynomial of ``pair``, ``(lcm, i, j)`` in ``packed``, on division by ``divisors``.
 
-    It is the sum of the memo's values of the products q * t, with q =
+    ``divisors`` is ``packed`` itself in ``check_basis`` and the active
+    elements in completion, whose ``memo`` follows them.  It is the sum of the memo's values of the products q * t, with q =
     lcm / lm and t in the tail, of both elements (the remainder is
     XOR-linear), so the S-polynomial is not formed.  A product of both
     elements cancels; it is never past the cap, since at most one of
@@ -145,9 +147,9 @@ def _s_remainder(packing: MonomialPacking, packed, pair: tuple, memo) -> list:
     lcm, i, j = pair
     (a, a_tail), (b, b_tail) = packed[i], packed[j]
     qa, qb = lcm - a, lcm - b
-    r = memo_remainder([qa + t for t in a_tail] + [qb + t for t in b_tail], packed, packing, memo)
+    r = memo_remainder([qa + t for t in a_tail] + [qb + t for t in b_tail], divisors, packing, memo)
     if r is None:
-        r = packed_remainder(_packed_s(packed[i], packed[j], packing), packed, packing)
+        r = packed_remainder(_packed_s(packed[i], packed[j], packing), divisors, packing)
     return r
 
 
@@ -198,7 +200,9 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER):
 
     Each element, generators included, enters by ``_update``.  The pair
     of least ``(lcm, i, j)`` is reduced first (the normal strategy,
-    Buchberger 1985), against the active set only.
+    Buchberger 1985), against the active set only, by ``_s_remainder``
+    off one memo for the whole run, which ``division.kill`` follows
+    through each entry.
     """
     basis = _nonzero(generators)
     packing, packed = pack_polys(basis, order)
@@ -206,10 +210,9 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER):
     for h in range(len(basis)):
         divisors = _update(packing, packed, active, pairs, h)
     pairs.sort(reverse=True)  # so the least pair is the last
-    additions = 0
+    additions, memo = 0, [{}, [], 0, {}, {}]
     while pairs:
-        _, i, j = pairs.pop()
-        r = packed_remainder(_packed_s(packed[i], packed[j], packing), divisors, packing)
+        r = _s_remainder(packing, packed, pairs.pop(), divisors, memo)
         if not r:
             continue
         basis.append(packing.poly(r))
@@ -217,6 +220,7 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER):
         additions += 1
         if additions > MAX_ADDITIONS:
             raise RuntimeError(f"Buchberger completion exceeded {MAX_ADDITIONS} additions")
+        kill(memo, divisors, r[0], packing.guard)
         divisors = _update(packing, packed, active, pairs, len(basis) - 1)
         pairs.sort(reverse=True)
     return tuple(basis)

@@ -33,11 +33,12 @@ DEC = "tests/test_decoder.py::"
 RM = "tests/test_rmcode.py::"
 KER = "tests/test_kernel.py::"
 REC = "tests/test_records.py::"
+SC = "tests/test_selfcheck.py::"
 
 MUTANTS = [
     # memo_remainder sums 0 for a monomial it cannot value, where its caller would run the classical kernel
     ("fallback-dropped", "division.py",
-     "if v is None:\n                return None", "if v is None:\n                v = 0",
+     "if v is None:\n                    return None", "if v is None:\n                    v = 0",
      NF + "test_memo_matches_classical_kernel_on_seeded_ideals[lex]"),
     # divide takes None from a memo that cannot value a monomial and never runs the classical kernel
     ("divide-fallback-dropped", "division.py",
@@ -94,9 +95,45 @@ MUTANTS = [
      NF + "test_one_off_divide_computes_its_quotients_when_first_read[lex]"),
     # the slot files its pairs and memo under the other monomial order
     ("memo-under-other-order", "division.py",
-     "_last.key, _last.memo = key, ({}, [])",
-     '_last.key, _last.memo = ("lex" if order == "grlex" else "grlex", key[1]), ({}, [])',
+     "_last.key, _last.memo = key,",
+     '_last.key, _last.memo = ("lex" if order == "grlex" else "grlex", key[1]),',
      NF + "test_check_basis_hands_its_memo_to_divide[lex]"),
+    # equal divisors that are other objects take the slot's packed tails, so an overflow may name another product
+    ("equal-divisors-not-repacked", "division.py",
+     "if not warm or any(map(is_not, key[1], _last.key[1])):", "if not warm:",
+     NF + "test_equal_divisors_rebuilt_from_text_take_the_checks_memo[lex]"),
+    # equal divisors that are other objects are repacked with an empty memo
+    ("repack-drops-the-memo", "division.py",
+     "_last.memo if warm else", "[{}, [], 0, None, None] if warm else",
+     NF + "test_equal_divisors_rebuilt_from_text_take_the_checks_memo[lex]"),
+    # an appended element kills no irreducible monomial: their bits still read as irreducible
+    ("kill-no-op", "division.py",
+     "if not (y - lead) & guard and not killed >> k & 1:", "if False:",
+     NF + "test_memo_completion_matches_classical_completion[lex-32768]"),
+    # a killed bit in a sum is read out as its monomial, not replaced by that monomial's remainder
+    ("substitution-skipped", "division.py",
+     "stale = acc & killed", "stale = 0",
+     NF + "test_memo_completion_matches_classical_completion[grlex-32768]"),
+    # an eviction keeps the values derived with the evicted elements
+    ("eviction-rule-dropped", "division.py",
+     "if evicted:", "if False:",
+     NF + "test_memo_completion_matches_classical_completion[lex-32768]"),
+    # a value records only its own divisor, not those its products were derived with
+    ("eviction-mask-not-transitive", "division.py",
+     "mask |= used.get(p, 0)", "pass",
+     NF + "test_memo_completion_matches_classical_completion[lex-32768]"),
+    # a full memo is kept at an entry, so its values go stale
+    ("full-memo-kept", "division.py",
+     "memo[:] = [{}, [], 0, {}, {}]", "pass",
+     NF + "test_memo_completion_matches_classical_completion[grlex-40]"),
+    # a completion pair that the memo cannot sum counts as reducing to zero
+    ("completion-fallback-dropped", "groebner.py",
+     "if r is None:", "if r is None and divisors is packed:",
+     NF + "test_memo_completion_matches_classical_completion[lex-32768]"),
+    # completion reduces its pairs by every element so far, evicted ones included
+    ("completion-divides-by-packed", "groebner.py",
+     "pairs.pop(), divisors, memo)", "pairs.pop(), packed, memo)",
+     GB + "test_completion_reduces_by_the_active_elements_only"),
     # an S-remainder sums only the first element's products
     ("s-remainder-j-side-dropped", "groebner.py",
      "[qa + t for t in a_tail] + [qb + t for t in b_tail]", "[qa + t for t in a_tail]",
@@ -286,6 +323,64 @@ MUTANTS = [
     ("mode-number-error-unwrapped", "cli.py",
      "except ValueError:\n        pass", "except ArithmeticError:\n        pass",
      "tests/test_cli.py::test_simulate_bad_mode"),
+    # selftest's checks pass what they should fail: each of these branches never raises CheckFailed
+    ("golden-syndrome-unchecked", "selfcheck.py",
+     'if syn != parse_poly("x2 + x3 + 1", 3):', "if False:",
+     SC + "test_each_failure_branch_becomes_its_false_row[golden-syndrome]"),
+    ("golden-codeword-unchecked", "selfcheck.py",
+     'if str(result.codeword) != "10101010":', "if False:",
+     SC + "test_each_failure_branch_becomes_its_false_row[golden-codeword]"),
+    ("golden-error-unchecked", "selfcheck.py",
+     'if result.error != parse_poly("x2*x3", 3):', "if False:",
+     SC + "test_each_failure_branch_becomes_its_false_row[golden-error]"),
+    ("berman-span-unchecked", "selfcheck.py",
+     "if not berman_check(params):", "if False:",
+     SC + "test_failing_check_becomes_a_false_row"),
+    ("berman-rank-unchecked", "selfcheck.py",
+     "if rk != params.dim:", "if False:",
+     SC + "test_each_failure_branch_becomes_its_false_row[berman-rank]"),
+    ("min-weight-unchecked", "selfcheck.py",
+     "if got != params.min_distance:", "if False:",
+     SC + "test_each_failure_branch_becomes_its_false_row[min-weight]"),
+    ("dichotomy-unchecked", "selfcheck.py",
+     "if (weight <= t) != all_low:", "if False:",
+     SC + "test_each_failure_branch_becomes_its_false_row[dichotomy]"),
+    ("location-within-t-unchecked", "selfcheck.py",
+     'if weight <= t:\n            raise CheckFailed(\n                f"remainder',
+     'if False:\n            raise CheckFailed(\n                f"remainder',
+     SC + "test_each_failure_branch_becomes_its_false_row[location-within-t]"),
+    # (the killing case's id, location-not-2^l-1, holds a caret, so the whole test is named)
+    ("location-weight-unchecked", "selfcheck.py",
+     "if len(loc) == params.l and weight != params.min_distance - 1:", "if False:",
+     SC + "test_each_failure_branch_becomes_its_false_row"),
+    ("decode-failure-unchecked", "selfcheck.py",
+     "if res.status == FAILURE:", "if False:",
+     SC + "test_each_failure_branch_becomes_its_false_row[decode-failed]"),
+    ("decode-mismatch-unchecked", "selfcheck.py",
+     "if res.codeword != c or res.error_bits != e.value:", "if False:",
+     SC + "test_each_failure_branch_becomes_its_false_row[decode-mismatch]"),
+    ("ml-tie-unchecked", "selfcheck.py",
+     "if ml.is_tie or ml.codeword != c:", "if False:",
+     SC + "test_each_failure_branch_becomes_its_false_row[ml-tie]"),
+    ("search-agreement-unchecked", "selfcheck.py",
+     "if decode_search(v, params) != res:", "if False:",
+     SC + "test_each_failure_branch_becomes_its_false_row[search-disagrees]"),
+    # a failed check escapes run_selftest as an exception, not a False row
+    ("check-failed-not-caught", "selfcheck.py",
+     "except CheckFailed as exc:", "except ArithmeticError as exc:",
+     SC + "test_failing_check_becomes_a_false_row"),
+    # rmgb basis builds a request of any size
+    ("basis-size-never-refused", "cli.py",
+     "if cost > limit:", "if False:",
+     "tests/test_cli.py::test_basis_refuses_oversized_requests[jennings-1]"),
+    # reduced-check is held to the listing limit
+    ("basis-check-under-list-limit", "cli.py",
+     "limit, what, cost = CHECK_LIMIT,", "limit, what, cost = LIST_LIMIT,",
+     "tests/test_cli.py::test_basis_refuses_oversized_requests[reduced-check-14]"),
+    # a G listing is costed as jennings, over every size from l up
+    ("basis-g-costed-as-jennings", "cli.py",
+     'sizes = [l] if which == "G" else range(l, m + 1)', "sizes = range(l, m + 1)",
+     "tests/test_cli.py::test_basis_refuses_oversized_requests[G-12]"),
     # Left out as equivalent: poly_to_word's size rule never taken, always taken,
     # or with >= for >.  Either path gives every support the same word or the same
     # error, so these change only its speed.

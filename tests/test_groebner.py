@@ -155,6 +155,16 @@ def test_completion_product_above_exponent_cap_raises():
         buchberger_complete(gens)
 
 
+def test_completion_reduces_by_the_active_elements_only():
+    # under lex, lm(x1^2 + x1*x2) divides lm(x1^2*x2 + x1 + x2), so the first
+    # generator leaves the active set when the second enters; reduced by the
+    # active elements, a later S-polynomial needs x2^6, where reduced by
+    # every element so far, the first included, the completion would finish
+    gens = [parse_poly("x1^2*x2 + x1 + x2", 2), parse_poly("x1^2 + x1*x2", 2)]
+    with pytest.raises(ValueError, match=re.escape("product (0, 6) exceeds cap 4")):
+        buchberger_complete(gens, LEX)
+
+
 def test_lex_completion_of_an_ideal_of_a_stays_under_the_cap():
     # the pair of least lcm is reduced first; oldest first, this ideal of A
     # reached the product x4^5 though its reduced basis has exponents <= 2

@@ -2,10 +2,12 @@
 
 ``division.memo_remainder`` sums remembered remainders of single
 monomials, where ``division.packed_remainder`` reduces each dividend from
-scratch.  They must agree exactly: on ``check_basis`` reports, failing
-pair and remainder included, and on ``divide``'s remainders and quotients.
-``check_basis`` sums each S-pair's products off one such memo, without
-forming the S-polynomial, and forms it only when the memo cannot sum them.
+scratch.  They must agree exactly: on ``buchberger_complete``'s results
+and errors, on ``check_basis`` reports, failing pair and remainder
+included, and on ``divide``'s remainders and quotients.  Completion and
+``check_basis`` sum each S-pair's products off one such memo, without
+forming the S-polynomial, and form it only when the memo cannot sum them;
+completion's memo follows its divisor list through each element's entry.
 ``divide`` takes its remainder from the memo of its thread's slot when the
 slot already holds its divisors, keyed on ``(order, tuple(divisors))``:
 from the second call by equal divisors on, or from the first after a
@@ -16,11 +18,12 @@ fills up; both are pinned here.
 
 Run as a script, ``python tests/test_normal_form.py M [COUNT]`` compares
 the two kernels on COUNT seeded ideals of A (default 10) at one m too
-slow for the suite, such as 10, under both orders: once with the check
-before the divides, which it hands its memo, and once after them, when
-it takes theirs.
+slow for the suite, such as 10, under both orders: their completions,
+and on the reduced bases, once with the check before the divides, which
+it hands its memo, and once after them, when it takes theirs.
 """
 
+import collections
 import itertools
 import random
 import re
@@ -33,10 +36,10 @@ import pytest
 
 import tuple_toolkit as ref
 from rmgb import division
-from rmgb.division import divide, memo_remainder, packed_remainder
+from rmgb.division import divide, kill, memo_remainder, packed_remainder
 from rmgb.groebner import _packed_s, _s_remainder, buchberger_complete, check_basis, reduce_basis
-from rmgb.polyring import GRLEX, LEX, format_poly, pack_polys, parse_poly
-from rmgb.rmcode import Word, word_to_poly
+from rmgb.polyring import GRLEX, LEX, Poly, format_poly, pack_polys, parse_poly
+from rmgb.rmcode import Word, square_relations, word_to_poly
 from test_packed_toolkit import _check_report_matches, random_poly, seeded_ideals
 from test_rank_oracle import ideal_generators, reduced_basis
 
@@ -49,6 +52,11 @@ def classical_check(basis, order):
     """``check_basis`` with every pair's S-polynomial formed and reduced by the classical kernel."""
     with mock.patch("rmgb.groebner.memo_remainder", lambda *args: None):
         return check_basis(basis, order)
+
+
+def empty_memo():
+    """A memo of one divisor list, as ``division.basis_slot`` starts it."""
+    return [{}, [], 0, None, None]
 
 
 def classical_remainder(f, basis, order):
@@ -224,7 +232,7 @@ def test_check_basis_takes_the_memo_divide_left(order):
         outcome(divide, dividends[2], basis + basis[:1], order)
         assert kernel_calls(dividends[2], basis, order)[1] == CLASSICAL
         memo = division._last.memo
-        assert slot_holds(basis, order) and memo == ({}, [])
+        assert slot_holds(basis, order) and memo == empty_memo()
         sizes = []
 
         def sized(monos, *args):
@@ -342,7 +350,7 @@ def test_memo_past_the_cap_falls_back_to_classical(classical_calls):
     f = parse_poly("x1^2 + x1*x2", 2)
     packing, packed = pack_polys(divisors, LEX)
     work = set(map(packing.pack, f.support))
-    assert memo_remainder(work, packed, packing, ({}, [])) is None
+    assert memo_remainder(work, packed, packing, empty_memo()) is None
     assert packed_remainder(work, packed, packing) == []
     clear_slot()
     for calls in (CLASSICAL, (1, 1), (1, 1)):  # the first divide is classical, the next by the memo, which falls back
@@ -380,10 +388,10 @@ def s_remainder_outcomes(basis, order):
     ``_s_remainder``, with one memo for all pairs, and by the classical kernel
     on the formed S-polynomial; each a list or an error."""
     packing, packed = pack_polys(basis, order)
-    memo = {}, []
+    memo = empty_memo()
     for i, j in itertools.combinations(range(len(packed)), 2):
         pair = packing.lcm(packed[i][0], packed[j][0]), i, j
-        got = outcome(_s_remainder, packing, packed, pair, memo)
+        got = outcome(_s_remainder, packing, packed, pair, packed, memo)
         want = outcome(lambda: packed_remainder(_packed_s(packed[i], packed[j], packing), packed, packing))
         yield got, want
 
@@ -436,6 +444,65 @@ def test_walk_past_the_cap_of_a_product_that_cancels():
     assert formed.call_count == 1 and report == classical_check(basis, LEX)
     assert (report.is_groebner, report.failing_pair) == (True, None)
     _check_report_matches(basis, LEX)
+
+
+def classical_complete(gens, order):
+    """``buchberger_complete`` with every pair's S-polynomial formed and reduced by the classical kernel."""
+    with mock.patch("rmgb.groebner.memo_remainder", lambda *args: None):
+        return buchberger_complete(gens, order)
+
+
+def completion_inputs():
+    """Generators of ``seeded_ideals``, of random general ideals near the cap and of ideals of A at m <= 6."""
+    for _, _, gens in seeded_ideals(601, 40):
+        yield gens
+    rng = random.Random(622)
+    for _ in range(2000):
+        m = rng.randint(1, 5)
+        yield [random_poly(rng, m, 6, 2) for _ in range(rng.randint(2, 4))]
+    for m in range(2, 7):
+        for _ in range(4):
+            yield square_relations(m) + tuple(ideal_generators(rng, m))
+
+
+@pytest.mark.parametrize("values_limit", [division.VALUES_LIMIT, 40])
+@pytest.mark.parametrize("order", ORDERS)
+def test_memo_completion_matches_classical_completion(order, values_limit, monkeypatch):
+    # completion follows its divisor list with one memo, through appends
+    # (kill, then substitution where a killed bit is summed) and evictions
+    # (the values derived with an evicted element dropped); its results and
+    # errors are those of the classical completion, and the run takes every
+    # branch: with a small limit, a full memo is emptied at the next entry
+    seen = collections.Counter()
+
+    def counted_kill(memo, divisors, lead, guard):
+        killed, used = memo[2], memo[3]
+        before = len(used)
+        kill(memo, divisors, lead, guard)
+        if memo[3] is not used:
+            seen["emptied"] += 1
+        else:
+            seen["kill"] += memo[2] != killed
+            seen["eviction"] += len(used) < before
+
+    def counted_sum(monos, divisors, packing, memo):
+        r = memo_remainder(monos, divisors, packing, memo)
+        if r is None:
+            seen["fallback"] += 1
+        else:  # the values of monos, summed before any killed bit is replaced
+            raw = 0
+            for x in monos:
+                raw ^= memo[0][x]
+            seen["substitution"] += bool(raw & memo[2])
+        return r
+
+    monkeypatch.setattr(division, "VALUES_LIMIT", values_limit)
+    for gens in completion_inputs():
+        want = outcome(classical_complete, gens, order)
+        with mock.patch("rmgb.groebner.kill", counted_kill), mock.patch("rmgb.groebner.memo_remainder", counted_sum):
+            assert outcome(buchberger_complete, gens, order) == want
+    assert all(seen[branch] for branch in ("kill", "substitution", "eviction", "fallback"))
+    assert bool(seen["emptied"]) == (values_limit == 40)
 
 
 @pytest.mark.parametrize("first, then", [(GRLEX, LEX), (LEX, GRLEX)])
@@ -544,13 +611,14 @@ def classical_division(f, divisors, order):
 @pytest.mark.parametrize("order", ORDERS)
 def test_equal_divisors_rebuilt_from_text_take_the_checks_memo(order):
     # divisors equal to the checked basis but distinct objects, rebuilt by
-    # parsing their text, hit the slot that check_basis left: the divide is
-    # served by its memo (a memo's values depend only on the leads and tail
-    # sets, and some rebuilt supports iterate in another order), and its
-    # remainder and quotients are those of the classical kernel on the
-    # rebuilt divisors, and the tuple toolkit's
+    # parsing their text, hit the slot that check_basis left: they are packed
+    # again and the divide is served by its memo (a memo's values depend only
+    # on the leads and tail sets, and some rebuilt supports iterate in
+    # another order), and its remainder and quotients, or its error, are
+    # those of the classical kernel on the rebuilt divisors, and the tuple
+    # toolkit's
     rng = random.Random(621)
-    served = reordered = 0
+    served = reordered = raised = 0
     for basis, dividends in handoff_bases(order):
         rebuilt = [parse_poly(format_poly(g), g.m) for g in basis]
         assert rebuilt == basis and not any(a is b for a, b in zip(rebuilt, basis))
@@ -562,13 +630,27 @@ def test_equal_divisors_rebuilt_from_text_take_the_checks_memo(order):
             got, calls = kernel_calls(f, rebuilt, order)
             assert division._last.memo is memo and calls[0] == 1
             want = outcome(classical_division, f, rebuilt, order)
-            if isinstance(got, str):  # the same walk passes the cap, maybe at another product
-                assert isinstance(want, str) and got.startswith("exponent overflow")
+            assert got == outcome(ref.divide, f, rebuilt, order)
+            if isinstance(got, str):  # the rebuilt tails are packed again, so the same product is named
+                assert got == want
+                raised += 1
                 continue
             assert (got.quotients, got.remainder) == want
-            assert got == ref.divide(f, rebuilt, order)
             served += calls == MEMO
     assert served >= 95 and reordered >= 3  # of 100 divides, 97 under lex and 100 under grlex; of 25 bases, 3
+    assert raised == (3 if order == LEX else 0)
+    # this Poly lists its tail x1*x2^3, x1*x2^4 and its text the other way
+    # round, so the divide, whose walk and classical run both pass the cap,
+    # names the product of the rebuilt tail's first monomial, as the tuple
+    # toolkit does, and not that of the checked basis
+    given = Poly(2, [(1, 4), (4, 2), (1, 3)])
+    rebuilt = [parse_poly(format_poly(given), 2)]
+    assert rebuilt == [given] and list(rebuilt[0].support) != list(given.support)
+    f = parse_poly("x1^4*x2^4 + x1*x2^4", 2)
+    check_basis([given], order)
+    got, calls = kernel_calls(f, rebuilt, order)
+    assert calls == (1, 1) and got == outcome(ref.divide, f, rebuilt, order)
+    assert got == "exponent overflow: product (1, 6) exceeds cap 4"
 
 
 if __name__ == "__main__":
@@ -578,10 +660,13 @@ if __name__ == "__main__":
         start = time.perf_counter()
         rng = random.Random(80 + m)
         for _ in range(count):
-            basis = reduced_basis(ideal_generators(rng, m), order, m)
+            gens = square_relations(m) + tuple(ideal_generators(rng, m))
+            completed = outcome(buchberger_complete, gens, order)
+            assert completed == outcome(classical_complete, gens, order)
+            basis = list(reduce_basis(completed, order))
             dividends = square_free_dividends(rng, m, DIVIDENDS)
             compare_kernels(basis, dividends, order, reference=False)
             clear_slot()
             compare_kernels(basis, dividends, order, reference=False, divides_first=True)
-        print(f"m = {m}, {order}: memo and classical kernels agree on {count} reduced bases,"
+        print(f"m = {m}, {order}: memo and classical kernels agree on {count} completions and reduced bases,"
               f" checked before and after the divides, in {time.perf_counter() - start:.1f} s")
