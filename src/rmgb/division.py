@@ -71,9 +71,9 @@ keep the slot's memo.  ``check_basis`` sums its S-remainders off the
 slot's memo without forming the S-polynomials.  ``divide`` uses the
 memo when the slot already held its divisors: from the first call after
 such a check, else from the second in a row, so a one-off division runs
-the classical kernel alone.  ``reduce_basis`` divides each element once,
-so it stays classical.  ``divide``'s quotients are always computed,
-classically, when first read.
+the classical kernel alone.  ``reduce_basis`` reads completion's memo,
+not this slot (``groebner``'s docstring).  ``divide``'s quotients are
+always computed, classically, when first read.
 """
 
 from __future__ import annotations

@@ -14,17 +14,35 @@ there for a following ``divide`` by the same basis and order.
 Completion keeps its packed basis and one memo for its whole run, and
 ``division.kill`` follows the memo through each element's entry to the
 active list (the rules are in ``division``'s docstring).
-``reduce_basis`` divides each element once, by the classical kernel.
+Completion leaves its result, order, packing, final active list and
+memo in this thread's slot, ``_completion``, until the thread's next
+completion or ``reduce_basis``, which empties it.  ``reduce_basis`` of
+that very tuple (``is``) under that order minimalizes the active list,
+not the whole basis, and reads each kept element off the memo as L +
+NF(L), L its lead: the active list is a Groebner basis of the ideal, so
+the memo's first-divisor remainders are normal forms, and the reduced
+basis is unique (Cox, Little and O'Shea, ch. 2 §7, Theorem 5).  A kept
+element whose lead the memo cannot value is divided once by the
+classical kernel, as is each kept element of any other input.
 Completion and ``check_basis`` share one pair rule, ``_update``: the
 Gebauer-Moeller criteria (J. Symbolic Comput. 6, 1988).
 """
 
 from __future__ import annotations
 
+import threading
+
 from .division import basis_slot, kill, memo_remainder, packed_remainder, remainder
 from .polyring import DEFAULT_ORDER, MonomialPacking, Poly, Record, pack_polys
 
 MAX_ADDITIONS = 10000  # S-remainders buchberger_complete may add before it gives up
+
+
+class _Completion(threading.local):
+    last = None  # (basis, order, packing, active divisors, memo) of this thread's last completion
+
+
+_completion = _Completion()
 
 
 def s_polynomial(f: Poly, g: Poly, order: str = DEFAULT_ORDER) -> Poly:
@@ -202,8 +220,10 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER):
     of least ``(lcm, i, j)`` is reduced first (the normal strategy,
     Buchberger 1985), against the active set only, by ``_s_remainder``
     off one memo for the whole run, which ``division.kill`` follows
-    through each entry.
+    through each entry.  The result, its active list and the memo stay
+    in this thread's slot for ``reduce_basis`` (the module docstring).
     """
+    _completion.last = None
     basis = _nonzero(generators)
     packing, packed = pack_polys(basis, order)
     active, pairs = [], []
@@ -223,7 +243,9 @@ def buchberger_complete(generators, order: str = DEFAULT_ORDER):
         kill(memo, divisors, r[0], packing.guard)
         divisors = _update(packing, packed, active, pairs, len(basis) - 1)
         pairs.sort(reverse=True)
-    return tuple(basis)
+    basis = tuple(basis)
+    _completion.last = basis, order, packing, divisors, memo
+    return basis
 
 
 def reduce_basis(basis, order: str = DEFAULT_ORDER):
@@ -233,16 +255,23 @@ def reduce_basis(basis, order: str = DEFAULT_ORDER):
     kept lead divides (minimalization), and keep the others as their
     remainder on division by the kept ones before them.  No larger lead
     divides a monomial of an element, so this one pass leaves each kept
-    element reduced.  Output is by descending leading monomial.
+    element reduced.  Output is by descending leading monomial.  The
+    tuple that this thread's last ``buchberger_complete`` returned, under
+    its order, is scanned by its active list and read off its memo
+    instead (the module docstring); the result is the same.
     """
-    packing, packed = pack_polys(_nonzero(basis), order)
-    packed.sort(key=lambda pair: pair[0])
+    last, _completion.last = _completion.last, None
+    if last and last[0] is basis and last[1] == order:
+        packing, packed, memo = last[2:]
+    else:
+        (packing, packed), memo = pack_polys(_nonzero(basis), order), None
     reduced = []
-    for lead, tail in packed:
+    for lead, tail in sorted(packed, key=lambda pair: pair[0]):
         for other, _ in reduced:
             if not (lead - other) & packing.guard:
                 break
         else:
-            r = packed_remainder({lead, *tail}, reduced, packing)
+            nf = memo and memo_remainder([lead], packed, packing, memo)
+            r = [lead, *nf] if nf is not None else packed_remainder({lead, *tail}, reduced, packing)
             reduced.append((r[0], r[1:]))
     return tuple(packing.poly((lead, *tail)) for lead, tail in reversed(reduced))

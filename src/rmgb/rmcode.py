@@ -115,7 +115,7 @@ class Word(Record):
 
     def flip(self, position: int) -> "Word":
         """Return a copy with the 1-based position flipped."""
-        if not 1 <= position <= self.n:
+        if type(position) is not int or not 1 <= position <= self.n:
             raise ValueError(f"position {position} out of range 1..{self.n}")
         return Word(self.n, self.value ^ (1 << (self.n - position)))
 
@@ -153,7 +153,7 @@ def subset_bit(m: int, subset) -> int:
     """Bit index b of X_I in ``Word.value``: the sum of 2^(m - i) over i in I."""
     b = 0
     for i in frozenset(subset):
-        if not 1 <= i <= m:
+        if type(i) is not int or not 1 <= i <= m:
             raise ValueError(f"index {i} out of range 1..{m}")
         b |= 1 << (m - i)
     return b

@@ -8,20 +8,25 @@ text still occurs exactly once, so a change to the source that makes an
 entry stale fails there.  A change that kills a mutant with a new test
 adds the mutant here.
 
-Run as a script, ``python tests/mutants.py [NAME ...]`` first runs every
-killing test on an unmutated copy of the tree, which must pass; then,
-for each mutant (or each one named), it copies ``src`` and ``tests`` to
-a temporary directory, applies the mutant, runs its test with ``-x``
-and reports it killed or survived.  It exits 1 if a mutant survives or
-a run errs.  It needs only the standard library and pytest.
+Run as a script, ``python tests/mutants.py [--jobs N] [NAME ...]``
+first runs every killing test on an unmutated copy of the tree, which
+must pass; then, for each mutant (or each one named), it copies ``src``
+and ``tests`` to a temporary directory, applies the mutant, runs its
+test with ``-x`` and reports it killed or survived, in table order.
+``--jobs N`` runs up to N mutants at once (default 1), never more than
+``os.cpu_count()``.  It exits 1 if a mutant survives or a run errs.  It
+needs only the standard library and pytest.
 """
 
+import argparse
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -166,6 +171,42 @@ MUTANTS = [
     ("reduce-basis-keeps-redundant", "groebner.py",
      "if not (lead - other) & packing.guard:\n                break", "if not (lead - other) & packing.guard:\n                pass",
      GB + "test_reduce_basis_drops_redundant_generator"),
+    # reduce_basis reads completion's memo for an equal copy of its tuple too
+    ("handoff-by-equality", "groebner.py",
+     "last[0] is basis", "last[0] == basis",
+     NF + "test_reduce_reads_the_memo_only_of_the_tuple_just_completed[lex]"),
+    # reduce_basis reads the last completion's memo whatever basis it is given
+    ("handoff-any-basis", "groebner.py",
+     "if last and last[0] is basis and", "if last and",
+     NF + "test_reduce_reads_the_memo_only_of_the_tuple_just_completed[lex]"),
+    # reduce_basis reads completion's memo under another monomial order
+    ("handoff-any-order", "groebner.py",
+     "and last[1] == order:", ":",
+     NF + "test_reduce_reads_the_memo_only_of_the_tuple_just_completed[lex]"),
+    # reduce_basis leaves the completion in the slot, so a second reduce reads it again
+    ("handoff-slot-kept", "groebner.py",
+     "last, _completion.last = _completion.last, None", "last = _completion.last",
+     NF + "test_reduce_reads_the_memo_only_of_the_tuple_just_completed[lex]"),
+    # a completion that raises leaves the slot to the one before it
+    ("completion-slot-not-emptied", "groebner.py",
+     "_completion.last = None\n    basis = _nonzero(generators)", "basis = _nonzero(generators)",
+     NF + "test_reduce_reads_the_memo_only_of_the_tuple_just_completed[lex]"),
+    # the handed-off reduce keeps an active element whose lead a kept lead divides
+    ("handoff-keeps-redundant", "groebner.py",
+     "if not (lead - other) & packing.guard:\n                break", "if not (lead - other) & packing.guard:\n                pass",
+     NF + "test_handoff_minimalizes_the_active_list"),
+    # a kept element read off the memo is its lead's normal form alone
+    ("handoff-lead-dropped", "groebner.py",
+     "r = [lead, *nf] if", "r = [*nf] if",
+     NF + "test_handed_off_reduce_matches_classical_reduce[lex]"),
+    # an element whose lead the memo cannot value is not divided classically
+    ("handoff-fallback-dropped", "groebner.py",
+     "if nf is not None else", "if True else",
+     NF + "test_handed_off_reduce_falls_back_per_element[lex]"),
+    # the handed-off reduce divides every kept element classically, by the kept ones
+    ("handoff-memo-unread", "groebner.py",
+     "nf = memo and memo_remainder(", "nf = None and memo_remainder(",
+     NF + "test_handed_off_reduce_falls_back_per_element[lex]"),
     # the Gebauer-Moeller test of a new pair sees only the earlier lcms, not the later ones
     ("update-later-lcms-unseen", "groebner.py",
      "for other in new:", "for other in new[:k]:",
@@ -251,6 +292,14 @@ MUTANTS = [
     ("rm36-halves-swapped", "decoder.py",
      "y ^ ((e_lo ^ e_v) << half | e_lo)", "y ^ (e_lo << half | e_lo ^ e_v)",
      DEC + "test_rm36_node_matches_the_split"),
+    # a bool passes as a position to flip
+    ("flip-takes-bool", "rmcode.py",
+     "type(position) is not int or", "not isinstance(position, int) or",
+     DEC + "test_non_integer_positions_are_rejected"),
+    # a bool passes as a variable index
+    ("subset-bit-takes-bool", "rmcode.py",
+     "type(i) is not int or", "not isinstance(i, int) or",
+     DEC + "test_non_integer_positions_are_rejected"),
     # square-free positions in ascending lex order
     ("positions-ascending", "rmcode.py",
      "itertools.product((1, 0), repeat=m)", "itertools.product((0, 1), repeat=m)",
@@ -408,7 +457,26 @@ def apply(tree: Path, file: str, old: str, new: str) -> None:
     path.write_text(text.replace(old, new))
 
 
-def main(names) -> int:
+def run_mutant(tmp: str, mutant) -> tuple:
+    """Apply ``mutant`` to a fresh copy of the tree and run its test; return pytest's exit code and the seconds taken."""
+    name, file, old, new, test = mutant
+    tree = Path(tmp) / name
+    copy_tree(tree)
+    apply(tree, file, old, new)
+    start = time.perf_counter()
+    code = run_tests(tree, [test])
+    shutil.rmtree(tree)
+    return code, time.perf_counter() - start
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--jobs", type=int, default=1, help="mutants run at once, at most the CPU count")
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
+    names = args.names
     chosen = [m for m in MUTANTS if not names or m[0] in names]
     if names and len(chosen) != len(set(names)):
         raise SystemExit(f"unknown mutant names: {sorted(set(names) - {m[0] for m in MUTANTS})}")
@@ -420,19 +488,14 @@ def main(names) -> int:
         if code != 0:
             print(f"the killing tests fail on the unmutated tree (pytest exit {code})")
             return 1
-        for name, file, old, new, test in chosen:
-            tree = Path(tmp) / name
-            copy_tree(tree)
-            apply(tree, file, old, new)
-            start = time.perf_counter()
-            code = run_tests(tree, [test])
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
-            failed += code != 1
-            print(f"{verdict:10} {name:28} {time.perf_counter() - start:5.1f} s  {test}", flush=True)
-            shutil.rmtree(tree)
+        with ThreadPoolExecutor(min(args.jobs, os.cpu_count() or 1)) as pool:
+            for (name, *_, test), (code, seconds) in zip(chosen, pool.map(partial(run_mutant, tmp), chosen)):
+                verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+                failed += code != 1
+                print(f"{verdict:10} {name:28} {seconds:5.1f} s  {test}", flush=True)
     print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

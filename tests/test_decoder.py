@@ -40,6 +40,7 @@ from rmgb.rmcode import (
     random_message,
     random_message_bits,
     rank,
+    subset_bit,
     subset_bits,
     superset_xor,
     word_to_poly,
@@ -588,6 +589,22 @@ def test_non_integer_counts_are_rejected():
         # message bits of True encoded the constant 1, and 1.5 raised AttributeError
         (lambda: encode_bits(True, P32), r"message bits out of range for 8-bit words"),
         (lambda: encode_bits(1.5, P32), r"message bits out of range for 8-bit words"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+
+def test_non_integer_positions_are_rejected():
+    # a float position or index raised TypeError from the shift, and a bool
+    # passed as the int it equals: Word(4, 0).flip(True) flipped position 1
+    # and subset_bit(3, [True]) returned 4
+    for make, message in [
+        (lambda: Word(4, 0).flip(1.0), r"position 1\.0 out of range 1\.\.4"),
+        (lambda: Word(4, 0).flip(True), r"position True out of range 1\.\.4"),
+        (lambda: subset_bit(3, [1.0]), r"index 1\.0 out of range 1\.\.3"),
+        (lambda: subset_bit(3, [True]), r"index True out of range 1\.\.3"),
+        (lambda: hat_set([1.0], P32), r"index 1\.0 out of range 1\.\.3"),
+        (lambda: hat_set([2, True], P32), r"index True out of range 1\.\.3"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()

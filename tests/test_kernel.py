@@ -4,11 +4,17 @@ Encoding is pinned to point-by-point evaluation, and syndromes and hat
 sets to multivariate division by G(m, l).  The int message core
 (``encode_bits``, ``random_message_bits``) is pinned to the ``Poly``
 entry points, and ``DecodeResult.error`` to its ``error_bits``.
+
+Run as a script, ``python tests/test_kernel.py M L [COUNT]`` pins
+``syndrome`` to the remainder on division by G(M, L) for COUNT seeded
+dense words (default 3), at an m too slow for the suite, such as 16.
 """
 
 import itertools
 import random
 import re
+import sys
+import time
 
 import pytest
 
@@ -287,3 +293,19 @@ def test_decode_result_error_is_built_from_its_bits(monkeypatch):
             assert result.error is result.error  # built once, on the first read
             assert calls == [Word(params.n, result.error_bits)]  # through the decoder's global
             calls.clear()
+
+
+if __name__ == "__main__":
+    m, l = int(sys.argv[1]), int(sys.argv[2])
+    count = int(sys.argv[3]) if len(sys.argv) > 3 else 3
+    params = CodeParams(m, l)
+    basis = groebner_basis(params)
+    rng = random.Random(90 + 17 * m + l)
+    start = time.perf_counter()
+    for _ in range(count):
+        v = Word(params.n, rng.getrandbits(params.n))
+        want = poly_to_word(remainder(word_to_poly(v), basis, GRLEX))
+        if syndrome(v, params) != want:
+            sys.exit(f"m = {m}, l = {l}: syndrome differs from the division remainder on the word {v.value:#x}")
+    print(f"m = {m}, l = {l}: syndrome equals the division remainder on {count} dense words"
+          f" in {time.perf_counter() - start:.1f} s")

@@ -12,18 +12,22 @@ completion's memo follows its divisor list through each element's entry.
 slot already holds its divisors, keyed on ``(order, tuple(divisors))``:
 from the second call by equal divisors on, or from the first after a
 ``check_basis`` of them, which leaves its memo there; it computes its
-quotients classically when they are first read.  The memo falls back to
-the classical kernel when a product passes the exponent cap or when it
-fills up; both are pinned here.
+quotients classically when they are first read.  ``reduce_basis`` of the
+tuple that completion has just returned reads the reduced basis off
+completion's memo; of anything else, it divides classically.  The memo
+falls back to the classical kernel when a product passes the exponent
+cap or when it fills up; both are pinned here.
 
 Run as a script, ``python tests/test_normal_form.py M [COUNT]`` compares
 the two kernels on COUNT seeded ideals of A (default 10) at one m too
 slow for the suite, such as 10, under both orders: their completions,
-and on the reduced bases, once with the check before the divides, which
-it hands its memo, and once after them, when it takes theirs.
+their reduces, handed off and classical, and on the reduced bases, once
+with the check before the divides, which it hands its memo, and once
+after them, when it takes theirs.
 """
 
 import collections
+import contextlib
 import itertools
 import random
 import re
@@ -35,7 +39,7 @@ from unittest import mock
 import pytest
 
 import tuple_toolkit as ref
-from rmgb import division
+from rmgb import division, groebner
 from rmgb.division import divide, kill, memo_remainder, packed_remainder
 from rmgb.groebner import _packed_s, _s_remainder, buchberger_complete, check_basis, reduce_basis
 from rmgb.polyring import GRLEX, LEX, Poly, format_poly, pack_polys, parse_poly
@@ -505,6 +509,138 @@ def test_memo_completion_matches_classical_completion(order, values_limit, monke
     assert bool(seen["emptied"]) == (values_limit == 40)
 
 
+def reduce_packs(basis, order):
+    """``reduce_basis``'s outcome, and whether it packed ``basis``: it does not when it reads completion's memo."""
+    with mock.patch("rmgb.groebner.pack_polys", wraps=pack_polys) as packs:
+        got = outcome(reduce_basis, basis, order)
+    return got, packs.called
+
+
+def handoff_inputs():
+    """Generators of ``seeded_ideals``, of ideals of A at m <= 6 and of random general ideals near the cap, m <= 4."""
+    for _, _, gens in seeded_ideals(623, 40):
+        yield gens
+    rng = random.Random(623)
+    for m in range(2, 7):
+        for _ in range(4):
+            yield square_relations(m) + tuple(ideal_generators(rng, m))
+    for _ in range(3000):
+        m = rng.randint(1, 4)
+        yield [random_poly(rng, m, 6, rng.choice((2, 4))) for _ in range(rng.randint(1, 4))]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_handed_off_reduce_matches_classical_reduce(order):
+    # reduce_basis of the tuple that completion has just returned packs
+    # nothing: it reads the reduced basis off completion's active list and
+    # memo, and its results and errors are those of the classical reduce of
+    # the same elements as a list (no reduce of these completions raises)
+    handed = raised = 0
+    for gens in handoff_inputs():
+        completed = outcome(buchberger_complete, gens, order)
+        if isinstance(completed, str):
+            raised += 1
+            continue  # no tuple to hand off
+        got, packed = reduce_packs(completed, order)
+        assert not packed and got == reduce_packs(list(completed), order)[0]
+        handed += 1
+    assert handed >= 1800 and raised >= 1000  # of 3060: 1839 and 1221 under lex, 2027 and 1033 under grlex
+
+
+# a completion that raises the exponent cap error, under lex and grlex alike
+OVERFLOW = [parse_poly(text, 2) for text in ("x1^2*x2^4 + x1^4", "x1^2*x2^2 + x2^2")]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_reduce_reads_the_memo_only_of_the_tuple_just_completed(order):
+    # the handoff is keyed on the tuple completion returned, by identity, and
+    # on its order, and lasts until this thread's next completion or reduce;
+    # a list or an equal copy of the tuple, another order, a completion since
+    # (one that raised included), or a second reduce of the tuple packs its
+    # input and divides classically, with the classical result
+    other = GRLEX if order == LEX else LEX
+
+    def completed_since(gens, later):
+        completed = buchberger_complete(gens, order)
+        buchberger_complete(later, order)
+        return completed, order
+
+    def raised_since(gens, later):
+        completed = buchberger_complete(gens, order)
+        assert isinstance(outcome(buchberger_complete, OVERFLOW, order), str)
+        return completed, order
+
+    def reduced_before(gens, later):
+        completed = buchberger_complete(gens, order)
+        reduce_basis(completed, order)
+        return completed, order
+
+    cases = [
+        lambda gens, later: (list(buchberger_complete(gens, order)), order),
+        lambda gens, later: (tuple(list(buchberger_complete(gens, order))), order),
+        lambda gens, later: (buchberger_complete(gens, order), other),
+        completed_since, raised_since, reduced_before,
+    ]
+    ideals = [gens for _, _, gens in seeded_ideals(624, 21)]  # each in other variables than the next
+    for gens, later in zip(ideals, ideals[1:]):
+        for case in cases:
+            basis, reduce_order = case(gens, later)
+            got, packed = reduce_packs(basis, reduce_order)
+            assert packed and got == reduce_basis(list(basis), reduce_order)
+
+
+def test_completion_in_another_thread_leaves_this_threads_handoff():
+    # a completion in another thread neither hands its tuple to a reduce here
+    # nor takes the place of this thread's own
+    later = []
+    for _, _, gens in seeded_ideals(625, 10):
+        completed = buchberger_complete(gens, GRLEX)
+        thread = threading.Thread(target=lambda: later.append(buchberger_complete(gens[1:] or gens, GRLEX)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert reduce_packs(completed, GRLEX) == (reduce_basis(list(completed), GRLEX), False)
+        buchberger_complete(gens, GRLEX)
+        assert reduce_packs(later[-1], GRLEX) == (reduce_basis(list(later[-1]), GRLEX), True)
+
+
+def test_handoff_minimalizes_the_active_list():
+    # the active list keeps an element whose lead an earlier active lead
+    # divides: x1*x2 enters after x1, and evicts only the leads it divides
+    for order in ORDERS:
+        completed = buchberger_complete([parse_poly("x1", 2), parse_poly("x1*x2", 2)], order)
+        assert len(groebner._completion.last[3]) == 2
+        assert reduce_packs(completed, order) == ((parse_poly("x1", 2),), False)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_handed_off_reduce_falls_back_per_element(order, classical_calls):
+    # the memo values every lead of these ideals of A; an element whose lead
+    # it cannot value is divided by the classical kernel, by the elements
+    # kept before it: when the memo values no lead, every other lead, or only
+    # those it holds once it is full, the handed-off reduce is the classical one
+    def alternate(*args, calls=itertools.count()):
+        return memo_remainder(*args) if next(calls) % 2 else None
+
+    variants = [contextlib.nullcontext,
+                lambda: mock.patch("rmgb.groebner.memo_remainder", lambda *args: None),
+                lambda: mock.patch("rmgb.groebner.memo_remainder", alternate),
+                lambda: mock.patch.object(division, "VALUES_LIMIT", 40)]
+    fallbacks = [0] * len(variants)
+    rng = random.Random(626)
+    inputs = [gens for _, _, gens in seeded_ideals(626, 40)]
+    inputs += [square_relations(m) + tuple(ideal_generators(rng, m)) for m in range(2, 7)]
+    for gens in inputs:
+        want = reduce_basis(list(buchberger_complete(gens, order)), order)
+        for k, variant in enumerate(variants):
+            with variant():
+                completed = buchberger_complete(gens, order)
+                before = len(classical_calls)
+                assert reduce_packs(completed, order) == (want, False)
+                fallbacks[k] += len(classical_calls) - before
+    assert fallbacks[0] == 0 and all(fallbacks[1:])
+
+
 @pytest.mark.parametrize("first, then", [(GRLEX, LEX), (LEX, GRLEX)])
 def test_divide_repacks_the_same_tuple_under_another_order(first, then):
     # a divide by the divisors that the slot last packed reuses that packing
@@ -662,11 +798,13 @@ if __name__ == "__main__":
         for _ in range(count):
             gens = square_relations(m) + tuple(ideal_generators(rng, m))
             completed = outcome(buchberger_complete, gens, order)
+            reduced, packed = reduce_packs(completed, order)  # handed off: read off completion's memo
+            assert not packed and reduced == reduce_basis(list(completed), order)
             assert completed == outcome(classical_complete, gens, order)
-            basis = list(reduce_basis(completed, order))
+            basis = list(reduced)
             dividends = square_free_dividends(rng, m, DIVIDENDS)
             compare_kernels(basis, dividends, order, reference=False)
             clear_slot()
             compare_kernels(basis, dividends, order, reference=False, divides_first=True)
-        print(f"m = {m}, {order}: memo and classical kernels agree on {count} completions and reduced bases,"
-              f" checked before and after the divides, in {time.perf_counter() - start:.1f} s")
+        print(f"m = {m}, {order}: memo and classical kernels agree on {count} completions, their reduces"
+              f" and reduced bases, checked before and after the divides, in {time.perf_counter() - start:.1f} s")

@@ -71,6 +71,8 @@ def test_buchberger_reduce_and_check_match_tuple_reference(order):
         reduced = reduce_basis(basis, order)
         assert reduced == ref.reduce_basis(basis, order)
         assert reduce_basis(completed, order) == reduced
+        # a tuple straight from completion is reduced off completion's memo
+        assert reduce_basis(buchberger_complete(gens, order), order) == reduced
         assert check_basis(reduced, order) == ref.check_basis(reduced, order)
         # the raw generators are rarely Groebner
         _check_report_matches(gens, order)
